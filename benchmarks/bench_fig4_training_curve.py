@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import run as run_experiment
 from repro.experiments.training_curve import TrainingCurveExperiment
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 
 #: Designs exercised at CI scale (one per family keeps the runtime minutes-scale).
 CI_DESIGNS = ("OS-ELM", "OS-ELM-L2", "DQN")
@@ -36,7 +37,12 @@ def _run_experiment(n_hidden: int):
                                 solved_window=25),
         seed=6,
     )
-    return experiment.run()
+    return _collect(experiment)
+
+
+def _collect(experiment):
+    report = run_experiment(experiment.to_spec(), backend="serial")
+    return report.to_training_curve_result()
 
 
 @pytest.mark.benchmark(group="figure4", min_rounds=1, max_time=1.0)
@@ -69,7 +75,7 @@ def test_figure4_curve_series_shape(benchmark):
         training=TrainingConfig(max_episodes=60, solved_threshold=100.0, solved_window=20),
         seed=3,
     )
-    collected = benchmark.pedantic(experiment.run, rounds=1, iterations=1)
+    collected = benchmark.pedantic(_collect, args=(experiment,), rounds=1, iterations=1)
     series = collected.curve_series("OS-ELM-L2", 32)
     assert set(series) == {"episodes", "steps", "moving_average"}
     assert len(series["episodes"]) == len(series["steps"]) == len(series["moving_average"])

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import run as run_experiment
 from repro.experiments.execution_time import (
     PAPER_SPEEDUPS,
     ExecutionTimeExperiment,
 )
 from repro.experiments.reporting import format_table
 from repro.fpga.platform import PynqZ1Platform
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 
 CI_DESIGNS = ("OS-ELM-L2", "OS-ELM-L2-Lipschitz", "DQN", "FPGA")
 
@@ -30,7 +31,8 @@ def _run_experiment(n_hidden: int):
         training=TrainingConfig(max_episodes=80, solved_threshold=100.0, solved_window=25),
         seed=11,
     )
-    return experiment.run()
+    report = run_experiment(experiment.to_spec(), backend="serial")
+    return report.to_execution_time_result(platform=experiment.platform)
 
 
 @pytest.mark.benchmark(group="figure5", min_rounds=1, max_time=1.0)

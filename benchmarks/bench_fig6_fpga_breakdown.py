@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import run as run_experiment
 from repro.experiments.execution_time import ExecutionTimeExperiment, fpga_breakdown_rows
 from repro.experiments.reporting import format_table
 from repro.fpga.platform import PynqZ1Platform
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 
 
 def _run(hidden_sizes):
@@ -24,7 +25,8 @@ def _run(hidden_sizes):
         training=TrainingConfig(max_episodes=50, solved_threshold=100.0, solved_window=20),
         seed=21,
     )
-    return experiment.run()
+    report = run_experiment(experiment.to_spec(), backend="serial")
+    return report.to_execution_time_result(platform=experiment.platform)
 
 
 @pytest.mark.benchmark(group="figure6", min_rounds=1, max_time=1.0)

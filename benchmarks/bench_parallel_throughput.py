@@ -2,7 +2,7 @@
 
 Measures, on identical multi-seed CartPole workloads:
 
-1. the serial baseline — the plain ``train_agent`` loop over the sweep's
+1. the serial baseline — the plain ``Trainer().fit`` loop over the sweep's
    trials, exactly what ``experiments/training_curve.py`` did before the
    ``repro.parallel`` subsystem;
 2. ``SweepRunner(backend="vectorized")`` — lock-step batched training over
@@ -54,7 +54,7 @@ from repro.parallel import (
     SyncVectorEnv,
     pipelined_rollout,
 )
-from repro.rl.runner import TrainingConfig, train_agent
+from repro.training import Trainer, TrainingConfig
 
 
 def verify_sync_subproc_identical(num_envs: int = 3, steps: int = 150,
@@ -245,14 +245,14 @@ def bench(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     serial_steps = 0
     for task in tasks:
-        result = train_agent(task.make_agent(), config=task.training,
-                             n_hidden=task.n_hidden)
+        result = Trainer().fit(task.make_agent(), config=task.training,
+                               n_hidden=task.n_hidden)
         serial_steps += int(result.curve.steps.sum())
     serial_seconds = time.perf_counter() - start
     serial_rate = serial_steps / serial_seconds
 
     rows = [{
-        "engine": "serial train_agent loop",
+        "engine": "serial Trainer().fit loop",
         "env_steps": serial_steps,
         "seconds": round(serial_seconds, 3),
         "steps_per_sec": round(serial_rate),

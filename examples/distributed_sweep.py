@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.distributed import SweepBroker, spawn_local_workers
 from repro.parallel import SweepRunner, SweepSpec
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 
 
 def main() -> None:

@@ -11,7 +11,7 @@ Demonstrates the 1.7 ``repro.fleet`` subsystem on one machine:
    channel, spawns workers through its
    :class:`~repro.fleet.WorkerSupervisor` when the backlog crosses the
    high-water mark, and retires idle workers through the broker's
-   negotiated ``DRAIN`` protocol — each retired worker finishes its
+   ``DRAIN`` protocol — each retired worker finishes its
    in-flight lease, delivers the result, and exits on its own;
 3. the final :class:`~repro.fleet.FleetReport` and broker counters are
    checked: at least one scale-up, at least one graceful drain, and the
@@ -48,7 +48,7 @@ if str(_SRC) not in sys.path:
 from repro.distributed import SweepBroker
 from repro.fleet import AutoscaleConfig, FleetAutoscaler
 from repro.parallel import SweepRunner, SweepSpec
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 
 
 def build_tasks():

@@ -20,10 +20,11 @@ from __future__ import annotations
 import argparse
 from pathlib import Path
 
+from repro.api import run as run_experiment
 from repro.core.designs import SOFTWARE_DESIGNS
 from repro.experiments.reporting import rows_to_csv
 from repro.experiments.training_curve import TrainingCurveExperiment, stability_classification
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 
 
 def main() -> None:
@@ -48,7 +49,7 @@ def main() -> None:
                                 solved_window=args.window),
         seed=args.seed,
     )
-    collected = experiment.run()
+    collected = run_experiment(experiment.to_spec()).to_training_curve_result()
 
     print()
     print(collected.render())

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 
+from repro.api import run as run_experiment
 from repro.core.designs import DESIGN_NAMES
 from repro.experiments.execution_time import (
     PAPER_EXECUTION_TIMES,
@@ -31,7 +32,7 @@ from repro.experiments.execution_time import (
 )
 from repro.experiments.reporting import format_table
 from repro.experiments.resource_table import render_table3
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 
 
 def main() -> None:
@@ -57,7 +58,8 @@ def main() -> None:
                                 solved_window=args.window),
         seed=args.seed,
     )
-    result = experiment.run()
+    result = run_experiment(experiment.to_spec()).to_execution_time_result(
+        platform=experiment.platform)
 
     print(result.render())
     print()

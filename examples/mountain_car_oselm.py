@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.agents import AgentConfig, OSELMQAgent
 from repro.core.regularization import RegularizationConfig
 from repro.envs import make as make_env
-from repro.rl.runner import TrainingConfig, train_agent
+from repro.training import Trainer, TrainingConfig
 from repro.utils.metrics import RunningStats
 
 
@@ -56,7 +56,7 @@ def main() -> None:
     )
     print(f"Training {agent.name} with {args.hidden} hidden units "
           f"for up to {args.episodes} episodes...")
-    result = train_agent(agent, env, config=training)
+    result = Trainer().fit(agent, env, config=training)
 
     lengths = RunningStats()
     lengths.extend(record.steps for record in result.curve.records)

@@ -1,6 +1,6 @@
 """Multi-seed design sweep through the parallel rollout engine.
 
-Replaces the hand-rolled pattern of looping ``train_agent`` over designs and
+Replaces the hand-rolled pattern of looping ``Trainer().fit`` over designs and
 trials: declare the grid once as a ``SweepSpec``, let ``SweepRunner`` derive
 a reproducible, non-overlapping seed for every (design, env, trial) cell,
 execute compatible trials in lock-step batches, and aggregate the streamed
@@ -21,7 +21,7 @@ if str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
 from repro.parallel import SweepRunner, SweepSpec
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 
 
 def main() -> None:

@@ -2,7 +2,7 @@
 """Quickstart: train an OS-ELM Q-Network on CartPole-v0 and inspect the result.
 
 This is the smallest end-to-end use of the library: build one of the paper's
-designs with :func:`repro.make_design`, train it with :func:`repro.train_agent`
+designs with :func:`repro.make_design`, train it with ``repro.Trainer().fit``
 and look at the training curve, the per-operation time breakdown and the
 greedy-policy evaluation.
 
@@ -16,7 +16,7 @@ import argparse
 
 import numpy as np
 
-from repro import DESIGN_NAMES, TrainingConfig, evaluate_agent, make_design, train_agent
+from repro import DESIGN_NAMES, Trainer, TrainingConfig, evaluate_agent, make_design
 from repro.experiments.reporting import format_table
 
 
@@ -40,7 +40,7 @@ def main() -> None:
         solved_window=30,
         seed=args.seed,
     )
-    result = train_agent(agent, config=config)
+    result = Trainer().fit(agent, config=config)
 
     print()
     print(f"solved: {result.solved}   episodes run: {result.episodes}   "

@@ -19,11 +19,11 @@ or programmatically:
 >>> report = run_experiment("figure4", scale="ci")
 >>> print(report.render())              # doctest: +SKIP
 
-Single agents train directly:
+Single agents train through the :class:`Trainer`:
 
->>> from repro import make_design, train_agent, TrainingConfig
+>>> from repro import make_design, Trainer, TrainingConfig
 >>> agent = make_design("OS-ELM-L2-Lipschitz", n_hidden=32, seed=0)
->>> result = train_agent(agent, config=TrainingConfig(max_episodes=200))
+>>> result = Trainer().fit(agent, config=TrainingConfig(max_episodes=200))
 >>> result.solved, result.episodes      # doctest: +SKIP
 
 See ``examples/`` for complete scenarios and ``benchmarks/`` for the
@@ -52,7 +52,7 @@ from repro.fpga import (
     XC7Z020,
 )
 from repro.fixedpoint import Q20, QFormat
-from repro.rl import TrainingConfig, TrainingResult, evaluate_agent, train_agent
+from repro.rl import evaluate_agent
 from repro.training import (
     AgentProtocol,
     Callback,
@@ -60,6 +60,8 @@ from repro.training import (
     MetricsRecorder,
     ProgressCallback,
     Trainer,
+    TrainingConfig,
+    TrainingResult,
 )
 from repro.parallel import (
     AsyncVectorEnv,
@@ -71,7 +73,6 @@ from repro.parallel import (
     evaluate_agent_vectorized,
     make_vector,
     pipelined_rollout,
-    train_agents_lockstep,
 )
 from repro.distributed import SweepBroker, run_distributed_sweep, run_worker
 from repro import telemetry
@@ -93,7 +94,7 @@ from repro.api import (
 )
 from repro.api import run as run_experiment
 
-__version__ = "1.8.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "AgentConfig",
@@ -119,7 +120,6 @@ __all__ = [
     "TrainingConfig",
     "TrainingResult",
     "evaluate_agent",
-    "train_agent",
     "AgentProtocol",
     "Callback",
     "CheckpointCallback",
@@ -138,7 +138,6 @@ __all__ = [
     "pipelined_rollout",
     "run_distributed_sweep",
     "run_worker",
-    "train_agents_lockstep",
     "MicroBatcher",
     "PolicyClient",
     "PolicyServer",

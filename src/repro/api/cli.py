@@ -27,7 +27,7 @@ Subcommands
     broker connection reconnects with capped exponential backoff
     (``--reconnect-attempts``/``--reconnect-base-delay``/
     ``--reconnect-max-delay``/``--reconnect-deadline``; ``--no-reconnect``
-    restores the pre-1.8 exit-on-disconnect).  ``--fault-plan SPEC``
+    exits on the first disconnect instead).  ``--fault-plan SPEC``
     injects deterministic connection faults for chaos testing.
 ``repro fleet status --connect HOST:PORT [--watch] [--json]``
     Query a live broker's ``STATS`` channel: tasks queued/leased/done,
@@ -503,8 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "until the broker shuts the sweep down)")
     worker.add_argument("--no-reconnect", action="store_true",
                         help="exit on the first broker disconnect instead "
-                             "of reconnecting with backoff (pre-1.8 "
-                             "behaviour)")
+                             "of reconnecting with backoff")
     worker.add_argument("--reconnect-attempts", type=int, default=5,
                         metavar="N",
                         help="connection attempts per outage before giving "

@@ -1,13 +1,12 @@
 """Report adapters: engine output -> the tables/CSVs the harnesses printed.
 
-The engine hands back raw per-trial :class:`~repro.rl.recording.TrainingResult`
+The engine hands back raw per-trial :class:`~repro.training.records.TrainingResult`
 objects; everything presentational lives here.  For the paper deliverables
 the adapters reuse the legacy result containers
 (:class:`~repro.experiments.training_curve.TrainingCurveResult`,
 :class:`~repro.experiments.execution_time.ExecutionTimeResult`) so
-``repro run figure4`` renders byte-identical summaries to what
-``TrainingCurveExperiment.ci_scale().run().render()`` always printed — the
-shim-equivalence tests pin this.
+``repro run figure4`` renders the same summary tables the historical
+harness printed.
 
 Execution-time projection happens here, not in the engine: cached trial
 artifacts store platform-independent operation *counts*, and the PYNQ-Z1

@@ -29,7 +29,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.designs import SOFTWARE_DESIGNS, design_spec
-from repro.rl.runner import TrainingConfig
+from repro.training.config import TrainingConfig
 from repro.utils.seeding import stable_digest, stable_hash
 
 #: Experiment kinds the engine knows how to execute and report.

@@ -22,7 +22,7 @@ job is to make the fleet *safe to lose*:
   stored trials before they ever reach the broker).
 
 Determinism: the broker never reorders computation — each task is executed
-by exactly one ``train_agent`` call inside some worker, identical to the
+by exactly one ``Trainer().fit`` call inside some worker, identical to the
 serial backend's loop — so distributed results replay serial results
 bit-for-bit on fixed seeds regardless of which worker ran what, in what
 order, or how many times a lease bounced.
@@ -94,20 +94,14 @@ class SweepBroker:
         ``callback(task, result)`` streamed as each *fresh* result lands,
         mirroring :meth:`SweepRunner.run`'s callback contract.
     lease_batch:
-        Tasks leased per worker ``GET``.  With k > 1 the broker answers a
-        request with one ``TASKS`` frame carrying up to k tasks (each an
-        independent lease), so remote workers amortize a connection round
-        trip over k trials on paper-scale grids.  The default of 1 keeps
-        the classic one-``TASK``-per-request protocol.  Leases, heartbeat
-        extension, requeue-on-death and result dedup are per *task* either
-        way — a worker dying mid-batch requeues only its unfinished tasks.
-
-        Batching is *negotiated per worker*: a ``GET`` frame's payload
-        advertises how many tasks the sender can accept (pre-1.4 workers
-        send ``None``), and the broker caps each batch at
-        ``min(lease_batch, advertised)`` — so a mixed fleet of old and new
-        workers serves one batching broker safely, old workers simply
-        receiving classic ``TASK`` frames.
+        Tasks leased per worker ``GET``.  The broker answers a request
+        with one ``TASKS`` frame carrying up to
+        ``min(lease_batch, capacity)`` tasks, where ``capacity`` is the
+        positive int the ``GET`` carries; with k > 1 remote workers
+        amortize a connection round trip over k trials on paper-scale
+        grids.  Leases, heartbeat extension, requeue-on-death and result
+        dedup are per *task* — a worker dying mid-batch requeues only its
+        unfinished tasks.
     max_frame_bytes:
         Per-frame size ceiling enforced on every worker frame *before*
         allocation (default: :func:`~repro.distributed.protocol.
@@ -166,12 +160,12 @@ class SweepBroker:
         self.duplicate_results = 0
         self.requeued_tasks = 0
         self.wait_replies = 0
-        #: Crash-safety accounting (1.8+): results restored from the journal
+        #: Crash-safety accounting: results restored from the journal
         #: at construction, and HELLOs from worker ids the broker already
         #: knew (a worker that reconnected instead of dying).
         self.journal_replayed_results = 0
         self.worker_reconnections = 0
-        #: Drain accounting (1.7+): how many workers were marked for drain,
+        #: Drain accounting: how many workers were marked for drain,
         #: how many closed their connection with no live lease (a *graceful*
         #: drain), and how many tasks had to be requeued from a draining
         #: worker anyway (dying mid-drain) — the elastic-fleet contract is
@@ -190,8 +184,8 @@ class SweepBroker:
         #: Observer connections (``repro fleet status``) never appear here.
         self._workers: Dict[str, Dict[str, object]] = {}
         #: Workers marked for drain: ``worker_id -> monotonic mark time``.
-        #: Marked workers get a ``DRAIN`` reply to their next ``GET`` (if
-        #: they negotiated the capability) instead of new leases.
+        #: Marked workers get a ``DRAIN`` reply to their next ``GET``
+        #: instead of new leases.
         self._draining: Dict[str, float] = {}
 
         self._server: Optional[socket.socket] = None
@@ -354,90 +348,29 @@ class SweepBroker:
 
     # ------------------------------------------------------------------ protocol
     def _serve_worker(self, connection: socket.socket) -> None:
-        """Per-connection loop: answer GET/RESULT, absorb heartbeats."""
+        """Per-connection loop: handshake, then answer GET/RESULT, absorb heartbeats."""
         worker_id = "<unregistered>"
-        is_observer = False
         held: Set[int] = set()          # leases owned by this connection
-        # Whether this connection negotiated the DRAIN capability (a 1.7+
-        # worker upgrades its GET payload to a dict after seeing our
-        # "drain" WELCOME flag); only such connections ever receive a
-        # DRAIN frame — a legacy worker marked for drain keeps being
-        # served normally and is retired by its supervisor via SIGTERM.
-        conn_state = {"drain_capable": False}
         with self._lock:
             self.active_connections += 1
         try:
             with connection:
-                while not self._closing.is_set():
-                    try:
+                try:
+                    worker_id = self._handshake(connection)
+                    is_observer = worker_id.startswith(protocol.OBSERVER_PREFIX)
+                    if not is_observer:
+                        self._register(worker_id)
+                    while not self._closing.is_set():
                         kind, payload = protocol.recv_message(
                             connection, max_frame_bytes=self.max_frame_bytes)
-                    except (ConnectionError, OSError):
-                        break
-                    if kind == protocol.HELLO:
-                        worker_id = str(payload)
-                        is_observer = worker_id.startswith(
-                            protocol.OBSERVER_PREFIX)
                         if not is_observer:
-                            reconnected = False
-                            with self._lock:
-                                known = worker_id in self.workers_seen
-                                self.workers_seen.add(worker_id)
-                                info = self._workers.get(worker_id)
-                                if info is None:
-                                    self._workers[worker_id] = {
-                                        "connected": True,
-                                        "last_seen": time.monotonic(),
-                                        "completed": 0,
-                                    }
-                                else:
-                                    # A worker we already know re-HELLOed:
-                                    # it reconnected after an outage.  Keep
-                                    # its completed count so fleet stats
-                                    # reconcile across the gap.
-                                    info["connected"] = True
-                                    info["last_seen"] = time.monotonic()
-                                if known:
-                                    self.worker_reconnections += 1
-                                    reconnected = True
-                            if reconnected:
-                                _LOGGER.info("worker reconnected",
-                                             worker=worker_id)
-                        # "stats"/"drain": True advertise the respective
-                        # channels; pre-1.5 workers only read info["tasks"]
-                        # and ignore the rest.
-                        protocol.send_message(connection, protocol.WELCOME,
-                                              {"tasks": len(self.tasks),
-                                               "stats": True,
-                                               "drain": True})
-                        continue
-                    if not is_observer and worker_id in self._workers:
-                        self._workers[worker_id]["last_seen"] = time.monotonic()
-                    if kind == protocol.HEARTBEAT:
-                        self._extend_leases(held)
-                    elif kind == protocol.GET:
-                        self._handle_get(connection, worker_id, held, payload,
-                                         conn_state)
-                    elif kind == protocol.RESULT:
-                        self._handle_result(connection, payload, held, worker_id)
-                    elif kind == protocol.STATS:
-                        protocol.send_message(connection, protocol.STATS,
-                                              self.stats_snapshot())
-                    elif kind == protocol.DRAIN:
-                        if isinstance(payload, (list, tuple, set)):
-                            # Control form (observer/autoscaler): mark the
-                            # listed workers for retirement and report back.
-                            info = self.mark_draining(list(payload))
-                            protocol.send_message(connection, protocol.DRAIN,
-                                                  info)
-                        else:
-                            # A worker announcing a self-initiated drain
-                            # (SIGTERM landed): unsolicited, no reply — the
-                            # worker may disconnect right after sending it.
-                            self.mark_draining([worker_id])
-                    else:
-                        raise protocol.ProtocolError(
-                            f"unexpected frame {kind!r} from worker")
+                            self._workers[worker_id]["last_seen"] = time.monotonic()
+                        self._dispatch(connection, worker_id, held, kind, payload)
+                except protocol.ProtocolError as error:
+                    _LOGGER.warning("peer violated the protocol; disconnecting",
+                                    worker=worker_id, error=str(error))
+                except (ConnectionError, OSError):
+                    pass
         finally:
             with self._lock:
                 self.active_connections -= 1
@@ -447,26 +380,75 @@ class SweepBroker:
             requeued = self._requeue_held(held, worker_id)
             self._finish_drain(worker_id, requeued)
 
+    def _handshake(self, connection: socket.socket) -> str:
+        """Answer the opening ``HELLO``; anything else is refused with ``ERROR``."""
+        kind, payload = protocol.recv_message(
+            connection, max_frame_bytes=self.max_frame_bytes)
+        try:
+            if kind != protocol.HELLO:
+                raise protocol.ProtocolError(f"expected HELLO, got {kind!r}")
+            worker_id = protocol.accept_hello(payload)
+        except protocol.ProtocolError as error:
+            protocol.send_message(connection, protocol.ERROR, str(error))
+            raise
+        protocol.send_message(connection, protocol.WELCOME,
+                              protocol.welcome_info(tasks=len(self.tasks)))
+        return worker_id
+
+    def _register(self, worker_id: str) -> None:
+        """Enter a worker in the accounting; a known id is a reconnection."""
+        with self._lock:
+            info = self._workers.get(worker_id)
+            self.workers_seen.add(worker_id)
+            if info is None:
+                self._workers[worker_id] = {"connected": True,
+                                            "last_seen": time.monotonic(),
+                                            "completed": 0}
+                return
+            # Keep its completed count so fleet stats reconcile across the gap.
+            info["connected"] = True
+            info["last_seen"] = time.monotonic()
+            self.worker_reconnections += 1
+        _LOGGER.info("worker reconnected", worker=worker_id)
+
+    def _dispatch(self, connection: socket.socket, worker_id: str,
+                  held: Set[int], kind: str, payload: object) -> None:
+        if kind == protocol.HEARTBEAT:
+            self._extend_leases(held)
+        elif kind == protocol.GET:
+            self._handle_get(connection, worker_id, held, payload)
+        elif kind == protocol.RESULT:
+            self._handle_result(connection, payload, held, worker_id)
+        elif kind == protocol.STATS:
+            protocol.send_message(connection, protocol.STATS,
+                                  self.stats_snapshot())
+        elif kind == protocol.DRAIN:
+            if isinstance(payload, (list, tuple, set)):
+                # Control form (observer/autoscaler): mark the listed
+                # workers for retirement and report back.
+                protocol.send_message(connection, protocol.DRAIN,
+                                      self.mark_draining(list(payload)))
+            else:
+                # A worker announcing a self-initiated drain (SIGTERM
+                # landed): unsolicited, no reply — the worker may disconnect
+                # right after sending it.
+                self.mark_draining([worker_id])
+        else:
+            raise protocol.ProtocolError(f"unexpected frame {kind!r} from worker")
+
     def _handle_get(self, connection: socket.socket, worker_id: str,
-                    held: Set[int], capacity: object = None,
-                    conn_state: Optional[Dict[str, bool]] = None) -> None:
-        # `capacity` is the worker's advertised max lease batch.  Pre-1.4
-        # workers send GET with a None payload and can only parse TASK
-        # frames, so they cap the batch at 1 regardless of lease_batch.
-        # 1.7+ workers that saw our "drain" WELCOME flag send a capability
-        # dict {"capacity": k, "drain": True} instead of the bare integer.
-        if isinstance(capacity, dict):
-            if conn_state is not None and capacity.get("drain"):
-                conn_state["drain_capable"] = True
-            capacity = capacity.get("capacity")
-        advertised = capacity if isinstance(capacity, int) and capacity >= 1 else 1
-        batch = min(self.lease_batch, advertised)
-        drain_capable = bool(conn_state and conn_state.get("drain_capable"))
+                    held: Set[int], capacity: object) -> None:
+        # `capacity` is the worker's max lease batch; sockets are untrusted
+        # input, so anything but a positive int is a protocol violation.
+        if type(capacity) is not int or capacity < 1:
+            raise protocol.ProtocolError(
+                f"GET capacity must be a positive int, got {capacity!r}")
+        batch = min(self.lease_batch, capacity)
         leased: List[Tuple[int, SweepTask]] = []
         with self._lock:
             if len(self._results) == len(self.tasks):
                 reply = (protocol.SHUTDOWN, None)
-            elif drain_capable and worker_id in self._draining:
+            elif worker_id in self._draining:
                 # Marked for retirement: no new leases.  The worker delivered
                 # every in-flight result before this GET (batch boundary), so
                 # it disconnects holding nothing — a graceful drain.
@@ -480,10 +462,7 @@ class SweepBroker:
                                                  held, now)
                     held.add(index)
                     leased.append((index, self.tasks[index]))
-                if batch == 1:
-                    reply = (protocol.TASK, leased[0])
-                else:
-                    reply = (protocol.TASKS, leased)
+                reply = (protocol.TASKS, leased)
             else:
                 reply = (protocol.WAIT, WAIT_HINT_SECONDS)
                 self.wait_replies += 1
@@ -545,11 +524,11 @@ class SweepBroker:
         """Mark workers for graceful retirement; returns what happened.
 
         A marked worker stops receiving leases: its next ``GET`` is answered
-        with a ``DRAIN`` frame (if it negotiated the capability) and it
-        disconnects once its in-flight results are delivered.  Ids that are
-        unknown, already draining, or belong to an already-disconnected
-        worker are reported rather than silently dropped, so the autoscaler
-        can tell a drain that will happen from one that cannot.
+        with a ``DRAIN`` frame and it disconnects once its in-flight results
+        are delivered.  Ids that are unknown, already draining, or belong to
+        an already-disconnected worker are reported rather than silently
+        dropped, so the autoscaler can tell a drain that will happen from one
+        that cannot.
         """
         marked: List[str] = []
         unknown: List[str] = []

@@ -8,6 +8,19 @@ small means the protocol needs no third-party dependency and any object the
 sweep already pickles for the process backend (``SweepTask``,
 ``TrainingResult``) travels unchanged.
 
+Handshake
+---------
+Every connection opens with one version-checked handshake: the client
+sends ``(HELLO, {"id": peer_id, "version": repro.__version__})`` and the
+server answers ``(WELCOME, info)`` with ``info["version"]`` set to its own
+version.  The rule is that every peer runs the same version: trial keys
+embed ``repro.__version__``, so a worker running other code must never
+deliver results under the broker's keys.  A server refuses any other
+``HELLO`` — another version, or the bare-string id that unversioned
+releases sent — with ``(ERROR, reason)`` naming both versions, and closes
+the connection.  :func:`hello` (client) and :func:`accept_hello` plus
+:func:`welcome_info` (server) are the only code that looks at versions.
+
 Message flow
 ------------
 The conversation is strictly client-driven: the broker only ever writes in
@@ -18,24 +31,22 @@ desynchronizing the request/response pairing.
 ===================  =======================  ================================
 worker sends          broker replies           meaning
 ===================  =======================  ================================
-``(HELLO, worker_id)``  ``(WELCOME, info)``     registration; ``info`` carries
-                                                the sweep size
-``(GET, capacity)``     ``(TASK, (idx, task))``  a leased task to execute.
-                                                 ``capacity`` advertises the
-                                                 worker's max lease batch
-                                                 (pre-1.4 workers send
-                                                 ``None`` = 1; brokers
-                                                 ignore unknown payloads)
-..                      ``(TASKS, [(idx, task), ...])``  a *batch* of leased
+``(HELLO, hello)``      ``(WELCOME, info)``     registration; ``info`` carries
+                                                the sweep size and version
+..                      ``(ERROR, reason)``     version mismatch; the broker
+                                                closes the connection
+``(GET, capacity)``     ``(TASKS, [(idx, task), ...])``  a batch of leased
                                                  tasks, at most
                                                  ``min(broker lease_batch,
-                                                 worker capacity)`` — sent
-                                                 only to workers that
-                                                 advertised capacity > 1
+                                                 capacity)``; ``capacity`` is
+                                                 a positive int
 ..                      ``(WAIT, seconds)``      nothing free right now — every
                                                  remaining task is leased to
                                                  another worker; poll again
 ..                      ``(SHUTDOWN, None)``     all tasks complete, disconnect
+..                      ``(DRAIN, None)``        the worker is marked for
+                                                 retirement: deliver nothing
+                                                 more, disconnect gracefully
 ``(RESULT, (idx, result, backend))``  ``(ACK, fresh)``  result received;
                                                  ``fresh`` is False for a
                                                  duplicate delivery
@@ -47,63 +58,41 @@ worker sends          broker replies           meaning
                                                  draining itself (SIGTERM):
                                                  it will deliver its in-flight
                                                  results and disconnect
-..                      ``(DRAIN, None)``        broker's reply to ``GET``
-                                                 from a worker marked for
-                                                 retirement: deliver nothing
-                                                 more, disconnect gracefully
 ``(DRAIN, [ids])``      ``(DRAIN, info)``        control request (observer/
                                                  autoscaler): mark workers
                                                  for drain; ``info`` lists
                                                  ``marked``/``unknown`` ids
 ===================  =======================  ================================
 
-``STATS`` is negotiated exactly like lease batching: a 1.5+ broker
-advertises ``"stats": True`` in its ``WELCOME`` info, and only clients that
-saw the flag send the frame — pre-1.5 workers never request stats and
-pre-1.5 brokers never see one, so mixed fleets stay wire-compatible.  The
-``repro fleet status`` observer registers with a worker id prefixed
+The ``repro fleet status`` observer registers with a peer id prefixed
 :data:`OBSERVER_PREFIX` so brokers keep it out of the worker accounting.
 
-Drain frames (1.7+)
--------------------
+Drain
+-----
 ``DRAIN`` is the graceful half of elastic scaling (:mod:`repro.fleet`):
-retiring a worker must never lose a lease.  It is double-negotiated
-through the existing capability dicts, so every mixed-version pairing
-degrades to pre-1.7 behaviour instead of erroring:
-
-* a 1.7+ **broker** advertises ``"drain": True`` in its ``WELCOME`` info
-  (alongside ``"stats"``); a pre-1.7 worker reads only ``info["tasks"]``
-  and never sees a ``DRAIN`` frame, because...
-* ...a 1.7+ **worker** that saw the flag upgrades its ``GET`` payload from
-  the bare capacity integer to ``{"capacity": k, "drain": True}``, and the
-  broker only ever answers ``DRAIN`` on connections that advertised it.
-  A 1.7+ worker on a pre-1.7 broker keeps sending the bare integer (the
-  old broker would misread the dict as capacity 1), so the old wire
-  protocol is preserved bit-for-bit in every legacy pairing.
-
-The retirement choreography: the autoscaler marks a worker through the
-control form ``(DRAIN, [worker_ids])`` on an observer connection; the
-broker stops leasing to it and answers its next ``GET`` with
-``(DRAIN, None)``; the worker — which by then has delivered every result
-of its in-flight lease batch, since ``GET`` only happens at batch
+retiring a worker must never lose a lease.  The autoscaler marks a worker
+through the control form ``(DRAIN, [worker_ids])`` on an observer
+connection; the broker stops leasing to it and answers its next ``GET``
+with ``(DRAIN, None)``; the worker — which by then has delivered every
+result of its in-flight lease batch, since ``GET`` only happens at batch
 boundaries — disconnects cleanly and exits.  A worker retired by SIGTERM
 instead finishes its in-flight batch, delivers the results, announces
 ``(DRAIN, None)`` and disconnects.  Either way the broker observes a
 draining worker close its connection with no live leases: a *graceful*
 drain, counted (with its duration) in the ``STATS`` snapshot.
 
-Serving frames (1.6+)
----------------------
+Serving frames
+--------------
 The :class:`~repro.serving.PolicyServer` daemon speaks the same framing
-with its own kinds, negotiated through ``WELCOME`` info exactly like the
-broker (a serving daemon advertises ``"serving": True`` plus its design
-list, so a client that connects to a broker — or vice versa — fails with
-one clear error instead of a pickle surprise):
+and the same handshake with its own kinds.  Its ``WELCOME`` info also
+carries ``"serving": True`` plus its design list, so a client that
+connects to a broker fails with one clear error instead of a pickle
+surprise:
 
 =====================  ==========================  =========================
 client sends            server replies              meaning
 =====================  ==========================  =========================
-``(HELLO, client_id)``  ``(WELCOME, info)``         registration; ``info``
+``(HELLO, hello)``      ``(WELCOME, info)``         registration; ``info``
                                                     carries designs/limits
 ``(ACT, (design, state))``  ``(ACTION, action)``    one greedy action for one
                                                     observation (requests are
@@ -140,24 +129,22 @@ HELLO = "hello"
 GET = "get"
 RESULT = "result"
 HEARTBEAT = "heartbeat"
-#: Bidirectional (1.5+): request payload ``None``, reply payload the snapshot.
+#: Bidirectional: request payload ``None``, reply payload the snapshot.
 STATS = "stats"
-#: Bidirectional (1.7+), negotiated via the WELCOME/GET capability dicts:
-#: worker -> broker with payload ``None`` announces a self-initiated drain
-#: (no reply, like HEARTBEAT); broker -> worker as the reply to a ``GET``
-#: from a worker marked for retirement; observer -> broker with a payload
-#: list of worker ids marks those workers for drain (replied with a DRAIN
-#: info frame).
+#: Bidirectional: worker -> broker with payload ``None`` announces a
+#: self-initiated drain (no reply, like HEARTBEAT); broker -> worker as the
+#: reply to a ``GET`` from a worker marked for retirement; observer ->
+#: broker with a payload list of worker ids marks those workers for drain
+#: (replied with a DRAIN info frame).
 DRAIN = "drain"
 #: Broker -> worker kinds.
 WELCOME = "welcome"
-TASK = "task"
-TASKS = "tasks"          #: k-task lease batch (brokers with lease_batch > 1)
+TASKS = "tasks"          #: a lease batch ``[(idx, task), ...]``
 WAIT = "wait"
 SHUTDOWN = "shutdown"
 ACK = "ack"
 
-#: Serving kinds (PolicyClient <-> PolicyServer, 1.6+).
+#: Serving kinds (PolicyClient <-> PolicyServer).
 ACT = "act"              #: client -> server: ``(design, state)``
 ACTION = "action"        #: server -> client: the greedy action
 SWAP = "swap"            #: client -> server: ``(design, pickled agent blob)``
@@ -200,6 +187,14 @@ def default_max_frame_bytes() -> int:
 
 class ProtocolError(ConnectionError):
     """A malformed frame or a violation of the request/response contract."""
+
+
+class VersionMismatchError(ProtocolError):
+    """The handshake failed: the peer runs another repro version.
+
+    Never transient — retrying cannot change the peer's code — so reconnect
+    loops and retry policies stop on it instead of backing off.
+    """
 
 
 class TransportCounters:
@@ -302,6 +297,59 @@ def _recv_exact(sock: socket.socket, n_bytes: int) -> bytes:
     return b"".join(chunks)
 
 
+def _version() -> str:
+    from repro import __version__   # deferred: repro/__init__ imports this module
+
+    return __version__
+
+
+def _mismatch(peer_version: Any) -> str:
+    theirs = (f"repro {peer_version}" if isinstance(peer_version, str)
+              else "an unversioned repro (1.8 or older)")
+    return (f"repro version mismatch: this side runs repro {_version()}, "
+            f"the peer runs {theirs}; every peer must run the same version")
+
+
+def hello(sock: socket.socket, peer_id: str) -> Dict[str, Any]:
+    """Client half of the handshake; returns the server's ``WELCOME`` info.
+
+    Raises :class:`VersionMismatchError` when the server refuses the
+    handshake or welcomes us with another version, and
+    :class:`ProtocolError` for any other reply.
+    """
+    send_message(sock, HELLO, {"id": peer_id, "version": _version()})
+    kind, info = recv_message(sock)
+    if kind == ERROR:
+        raise VersionMismatchError(str(info))
+    if kind != WELCOME or not isinstance(info, dict):
+        raise ProtocolError(f"expected WELCOME, got {kind!r}")
+    if info.get("version") != _version():
+        raise VersionMismatchError(_mismatch(info.get("version")))
+    return info
+
+
+def welcome_info(**fields: Any) -> Dict[str, Any]:
+    """A server's ``WELCOME`` payload: ``fields`` plus this side's version."""
+    return {**fields, "version": _version()}
+
+
+def accept_hello(payload: Any) -> str:
+    """Server half of the handshake: the peer id of a valid ``HELLO``.
+
+    Raises :class:`VersionMismatchError` (naming both versions) unless the
+    payload is ``{"id": ..., "version": <this version>}``, and
+    :class:`ProtocolError` for a versioned payload without a string id; the
+    caller replies ``(ERROR, str(error))`` and closes the connection.
+    """
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != _version():
+        raise VersionMismatchError(_mismatch(version))
+    peer_id = payload.get("id")
+    if not isinstance(peer_id, str):
+        raise ProtocolError(f"HELLO carries no peer id: {peer_id!r}")
+    return peer_id
+
+
 def parse_address(address: str) -> Tuple[str, int]:
     """Parse ``"host:port"`` (the CLI's ``--connect``/``--bind`` format)."""
     host, sep, port = address.rpartition(":")
@@ -314,7 +362,7 @@ __all__ = [
     "ACK", "ACT", "ACTION", "DRAIN", "ERROR", "GET", "HEARTBEAT", "HELLO",
     "MAX_FRAME_BYTES", "MAX_FRAME_ENV_VAR", "OBSERVER_PREFIX",
     "ProtocolError", "RESULT", "SHUTDOWN", "STATS", "SWAP", "SWAPPED",
-    "TASK", "TASKS", "TransportCounters", "WAIT", "WELCOME",
-    "default_max_frame_bytes", "parse_address", "recv_message",
-    "send_message", "transport_counters",
+    "TASKS", "TransportCounters", "VersionMismatchError", "WAIT", "WELCOME",
+    "accept_hello", "default_max_frame_bytes", "hello", "parse_address",
+    "recv_message", "send_message", "transport_counters", "welcome_info",
 ]

@@ -4,8 +4,8 @@
 executes: connect to a :class:`~repro.distributed.broker.SweepBroker`, pull
 :class:`~repro.parallel.sweep.SweepTask`s one at a time, run each through
 the *exact* serial trainer code path
-(:func:`repro.parallel.sweep._run_sweep_task` -> ``train_agent``), and
-stream the :class:`~repro.rl.recording.TrainingResult` back.  Because the
+(:func:`repro.parallel.sweep._run_sweep_task` -> ``Trainer().fit``), and
+stream the :class:`~repro.training.records.TrainingResult` back.  Because the
 computation per task is identical to the serial backend, a distributed
 sweep replays a serial sweep bit-for-bit on fixed seeds — the worker adds
 transport, never arithmetic.
@@ -15,31 +15,32 @@ the broker keeps the lease alive through arbitrarily long trials; if this
 process dies instead, the dropped connection (or, for a hang, the lease
 timeout) makes the broker requeue the task for another worker.
 
-Graceful retirement (1.7+): the worker installs SIGTERM/SIGINT handlers
-(main thread only) that request a *drain* instead of killing the process —
-the in-flight lease batch finishes, every result is delivered and acked,
-the broker is told ``DRAIN`` (when it negotiated the capability), and only
-then does the loop exit.  A second signal skips the grace and dies
-immediately (the broker's lease requeue covers the abandoned task).  The
-broker can also retire the worker from its side: a ``DRAIN`` reply to
-``GET`` — negotiated through the ``WELCOME`` capability dict, so pre-1.7
-brokers never send one and pre-1.7 workers never see one — makes the loop
-exit at the same clean batch boundary.  Either way, retiring a worker
-loses no leases: this is the actuation primitive of
-:class:`repro.fleet.FleetAutoscaler`.
+Every connection opens with the version-checked handshake
+(:func:`repro.distributed.protocol.hello`).  A broker running another
+version refuses it, and the worker ends with that error instead of
+reconnecting: retrying cannot change the broker's code.
 
-Reconnect (1.8+): with ``WorkerOptions(reconnect=RetryPolicy(...))`` a
+Graceful retirement: the worker installs SIGTERM/SIGINT handlers (main
+thread only) that request a *drain* instead of killing the process — the
+in-flight lease batch finishes, every result is delivered and acked, the
+broker is told ``DRAIN``, and only then does the loop exit.  A second
+signal skips the grace and dies immediately (the broker's lease requeue
+covers the abandoned task).  The broker can also retire the worker from
+its side: a ``DRAIN`` reply to ``GET`` makes the loop exit at the same
+clean batch boundary.  Either way, retiring a worker loses no leases: this
+is the actuation primitive of :class:`repro.fleet.FleetAutoscaler`.
+
+Reconnect: with ``WorkerOptions(reconnect=RetryPolicy(...))`` a
 lost broker connection no longer ends the worker — it backs off on the
-policy's deterministic schedule, reconnects, re-``HELLO``\ s under the
-*same* worker id (so broker accounting reconciles the gap as a
+policy's deterministic schedule, reconnects, sends ``HELLO`` again under
+the *same* worker id (so broker accounting reconciles the gap as a
 reconnection, not a new worker), redelivers any result it computed during
 the outage (the broker's dedup absorbs the copy if the original landed),
 and resumes pulling tasks.  A result lost mid-``RESULT`` is therefore
 never lost twice: either the broker journaled/acked it, or the requeued
 lease is retrained — both converge on the same bits.  Without a policy
-(the default, and what the coordinator's auto-spawned fleets use) the
-pre-1.8 behaviour is unchanged: broker gone means the worker's job is
-done.
+(the default, and what the coordinator's auto-spawned fleets use) broker
+gone means the worker's job is done.
 
 Workers may attach their own :class:`~repro.api.store.ArtifactStore`
 (``repro worker --store DIR``).  A store-equipped worker answers tasks it
@@ -70,10 +71,8 @@ _LOGGER = get_logger("repro.distributed.worker")
 #: ``backend_used`` recorded for trials executed by the worker fleet.
 DISTRIBUTED_BACKEND = "distributed"
 
-#: Max lease batch this worker advertises in every ``GET`` payload.  The
-#: broker caps batches at min(its lease_batch, this) per worker, so mixed
-#: fleets are safe: pre-1.4 workers send ``None`` and keep getting classic
-#: single-``TASK`` frames even from a batching broker.
+#: Max lease batch this worker advertises in every ``GET`` payload; the
+#: broker caps batches at min(its lease_batch, this).
 LEASE_CAPACITY = 1024
 
 
@@ -95,15 +94,15 @@ class WorkerOptions:
     re-``HELLO`` under the same worker id instead of exiting.  Each outage
     gets a fresh policy run (the attempt cap / deadline bounds *one*
     outage, not the worker's lifetime); a policy exhausted mid-outage
-    raises :class:`~repro.utils.retry.RetryError`.  ``None`` keeps the
-    legacy exit-on-disconnect behaviour."""
+    raises :class:`~repro.utils.retry.RetryError`.  ``None`` exits on
+    the first disconnect."""
     idle_timeout: Optional[float] = 60.0
     """Seconds to wait for any single broker reply before declaring the
     connection dead (half-open TCP to a SIGKILLed broker otherwise hangs
     the worker forever).  Generous on purpose: the broker answers every
     frame promptly — only trial *training* takes long, and the worker
-    never blocks on the socket during training.  ``None`` restores the
-    pre-1.8 unbounded wait."""
+    never blocks on the socket during training.  ``None`` waits without
+    bound."""
     connect_factory: Optional[Callable[[str, int, Optional[float]], socket.socket]] = (
         field(default=None, compare=False))
     """Socket factory ``(host, port, timeout) -> socket`` replacing
@@ -185,7 +184,9 @@ def run_worker(host: str, port: int,
     initial connect) is retried on the policy's backoff schedule instead of
     ending the worker; see the module docstring for the redelivery
     semantics.  An exhausted policy raises
-    :class:`~repro.utils.retry.RetryError`.
+    :class:`~repro.utils.retry.RetryError`; a broker running another
+    version raises :class:`~repro.distributed.protocol.VersionMismatchError`
+    without any retry.
     """
     worker_id = options.worker_id or default_worker_id()
     drain = options.drain_event if options.drain_event is not None else threading.Event()
@@ -227,16 +228,16 @@ def run_worker(host: str, port: int,
                 sessions += 1
                 if sessions > 1:
                     state.reconnects += 1
-                    telemetry.count("worker.reconnects")
+                    telemetry.count("distributed.worker.reconnections")
                     _LOGGER.info("worker reconnected", worker=worker_id,
                                  session=sessions)
                 clock = None    # productive session: next outage starts fresh
             if outcome.kind != "lost":
                 break
             if options.reconnect is None:
-                # Pre-1.8 behaviour: the broker is gone — sweep finished (it
-                # tears the port down as soon as the grid drains) or it
-                # died; either way the worker's job here is over.
+                # The broker is gone — sweep finished (it tears the port
+                # down as soon as the grid drains) or it died; either way
+                # the worker's job here is over.
                 _LOGGER.info("broker connection closed", worker=worker_id)
                 break
             if not outcome.handshook:
@@ -281,14 +282,10 @@ def _serve_connection(sock: socket.socket, worker_id: str, store,
         with send_lock:
             protocol.send_message(sock, kind, payload)
 
-    def announce_drain(negotiated: bool) -> None:
-        # Tell a drain-capable broker this disconnect is deliberate — it
-        # retires the worker as a *graceful* drain instead of a death.  A
-        # pre-1.7 broker never learns, which is fine: all leases were
-        # delivered, so the disconnect requeues nothing either way.
+    def announce_drain() -> None:
+        # Tell the broker this disconnect is deliberate — it retires the
+        # worker as a *graceful* drain instead of a death.
         telemetry.count("distributed.worker.drains")
-        if not negotiated:
-            return
         try:
             send(protocol.DRAIN)
         except (ConnectionError, OSError):
@@ -313,24 +310,15 @@ def _serve_connection(sock: socket.socket, worker_id: str, store,
         # instead of hanging the worker forever.
         sock.settimeout(options.idle_timeout)
         try:
-            send(protocol.HELLO, worker_id)
-            kind, info = protocol.recv_message(sock)
+            info = protocol.hello(sock, worker_id)
         except protocol.ProtocolError:
-            # A *violation* (malformed/oversized frame), not an outage:
-            # retrying a broker that speaks garbage would spin forever.
+            # A *violation* (version mismatch, malformed/oversized frame),
+            # not an outage: retrying such a broker would spin forever.
             raise
         except (ConnectionError, OSError) as error:
             return _ConnectionOutcome("lost", False, error)
-        if kind != protocol.WELCOME:
-            raise protocol.ProtocolError(f"expected WELCOME, got {kind!r}")
-        # 1.7+ brokers advertise "drain" in WELCOME; only then may the GET
-        # payload be upgraded to a capability dict (an old broker would
-        # misread the dict, so the flag gates the whole exchange).
-        drain_negotiated = bool(isinstance(info, dict) and info.get("drain"))
-        get_payload = ({"capacity": LEASE_CAPACITY, "drain": True}
-                       if drain_negotiated else LEASE_CAPACITY)
         _LOGGER.info("worker registered", worker=worker_id,
-                     tasks=info.get("tasks"), drain=drain_negotiated)
+                     tasks=info.get("tasks"))
         # Flush results stranded by a previous outage before asking for new
         # work — the broker requeued those leases when the old connection
         # dropped, so each redelivery is acked fresh (it beat the requeued
@@ -352,10 +340,10 @@ def _serve_connection(sock: socket.socket, worker_id: str, store,
             if drain.is_set():
                 _LOGGER.info("drain requested; exiting cleanly",
                              worker=worker_id, completed=state.completed)
-                announce_drain(drain_negotiated)
+                announce_drain()
                 return _ConnectionOutcome("drain", True)
             try:
-                send(protocol.GET, get_payload)
+                send(protocol.GET, LEASE_CAPACITY)
                 kind, payload = protocol.recv_message(sock)
             except protocol.ProtocolError:
                 raise
@@ -375,17 +363,12 @@ def _serve_connection(sock: socket.socket, worker_id: str, store,
                 telemetry.count("distributed.worker.wait_frames")
                 time.sleep(float(payload))
                 continue
-            if kind == protocol.TASK:
-                batch = [payload]
-            elif kind == protocol.TASKS:
-                # lease_batch > 1 broker: up to k independent leases per
-                # request; executed sequentially, one RESULT/ACK pair each,
-                # so per-task requeue/dedup semantics are unchanged.
-                batch = list(payload)
-            else:
-                raise protocol.ProtocolError(f"expected TASK/TASKS/WAIT/SHUTDOWN, "
-                                             f"got {kind!r}")
-            for index, task in batch:
+            if kind != protocol.TASKS:
+                raise protocol.ProtocolError(
+                    f"expected TASKS/WAIT/SHUTDOWN/DRAIN, got {kind!r}")
+            # Up to lease_batch independent leases, executed sequentially
+            # with one RESULT/ACK pair each, so requeue/dedup stay per task.
+            for index, task in payload:
                 result, was_cached = _execute_with_heartbeat(
                     task, store, send, options.heartbeat_interval)
                 try:

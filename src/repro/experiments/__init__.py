@@ -1,10 +1,10 @@
 """Experiment harnesses that regenerate the paper's tables and figures.
 
-The harness classes are deprecated shims over the unified experiment API
+The harness classes are views over the unified experiment API
 (:mod:`repro.api`): their ``ci_scale``/``paper_scale`` constructors resolve
-registered specs (``figure4``, ``figure5``) and ``run()`` delegates to the
-one engine, keeping summaries byte-identical to the historical loops.  New
-code should prefer ``repro.api.run("figure4")`` / ``python -m repro run``.
+registered specs (``figure4``, ``figure5``) and ``to_spec()`` hands the
+grid back to the one engine — run it with
+``repro.api.run(experiment.to_spec())`` or ``python -m repro run``.
 
 Each harness returns plain data structures (lists of dict rows, NumPy
 arrays) and can render them as aligned text tables, so the benchmarks and

@@ -19,17 +19,14 @@ The measured host wall-clock breakdown is also kept for reference, but the
 modelled times are what is comparable across designs because the host CPU is
 not a 650 MHz Cortex-A9.
 
-.. deprecated::
-    :class:`ExecutionTimeExperiment` is now a thin shim over the unified
-    experiment API (the registered ``figure5``/``table2`` spec); ``run()``
-    delegates to :func:`repro.api.run` and projects the cached operation
-    counts through this instance's ``platform``.  New code should call
-    ``repro.api.run("figure5")`` or ``python -m repro run figure5``.
+:class:`ExecutionTimeExperiment` is a view over the unified experiment API
+(the registered ``figure5``/``table2`` spec): run it with
+``repro.api.run(experiment.to_spec())`` and project the operation counts
+with ``report.to_execution_time_result(platform=...)``.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -168,12 +165,7 @@ class ExecutionTimeResult:
 
 @dataclass(frozen=True)
 class ExecutionTimeExperiment:
-    """Configuration + runner for the Figure 5/6 experiment.
-
-    ``parallel=True`` fans the (design, hidden-size) grid over a worker pool
-    through :mod:`repro.parallel`; every cell keeps its serial-mode seed, so
-    the two modes produce identical timings counts-for-counts.
-    """
+    """Configuration + runner for the Figure 5/6 experiment."""
 
     designs: Sequence[str] = DESIGN_NAMES
     hidden_sizes: Sequence[int] = FIGURE5_HIDDEN_SIZES
@@ -181,8 +173,6 @@ class ExecutionTimeExperiment:
     platform: PynqZ1Platform = field(default_factory=PynqZ1Platform)
     seed: int = 7
     gamma: float = 0.99
-    parallel: bool = False
-    max_workers: Optional[int] = None
 
     @staticmethod
     def paper_scale() -> "ExecutionTimeExperiment":
@@ -275,20 +265,6 @@ class ExecutionTimeExperiment:
     def project(self, result: TrainingResult) -> DesignTiming:
         """Project a finished training run's operation counts through the platform model."""
         return project_timing(result, self.platform)
-
-    def run(self) -> ExecutionTimeResult:
-        """Deprecated shim: delegates to the unified engine and projects the
-        resulting operation counts through this instance's ``platform``."""
-        from repro.api.engine import run as run_experiment
-
-        warnings.warn(
-            "ExecutionTimeExperiment.run() is a deprecated shim; use "
-            "repro.api.run('figure5') or `python -m repro run figure5`",
-            DeprecationWarning, stacklevel=2)
-        report = run_experiment(self.to_spec(),
-                                backend="process" if self.parallel else "serial",
-                                max_workers=self.max_workers)
-        return report.to_execution_time_result(platform=self.platform)
 
 
 def fpga_breakdown_rows(result: ExecutionTimeResult,

@@ -10,21 +10,16 @@ harness exposes the same protocol but defaults to CI-scale budgets so the
 benchmark suite terminates quickly.  Use ``paper_scale()`` to get the
 full-scale configuration.
 
-.. deprecated::
-    :class:`TrainingCurveExperiment` is now a thin shim over the unified
-    experiment API: ``ci_scale()``/``paper_scale()`` resolve the registered
-    ``figure4`` spec and ``run()`` delegates to :func:`repro.api.run`, so
-    every trial goes through the one sweep engine.  New code should call
-    ``repro.api.run("figure4")`` (or ``python -m repro run figure4``)
-    directly; the shim stays because its summaries are pinned byte-identical
-    to the historical harness.
+:class:`TrainingCurveExperiment` is a view over the unified experiment API:
+``ci_scale()``/``paper_scale()`` resolve the registered ``figure4`` spec,
+and ``repro.api.run(experiment.to_spec())`` runs it through the one sweep
+engine (``report.to_training_curve_result()`` gives the curves back).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -97,14 +92,6 @@ class TrainingCurveExperiment:
         Protocol configuration; the default is a CI-scale budget.
     seed:
         Base seed; each (design, hidden) run derives its own seed from it.
-    parallel:
-        Fan the (design, hidden-size) grid across a worker pool via
-        :mod:`repro.parallel` instead of looping serially.  Each cell runs
-        the identical ``run_single`` with the identical derived seed, so
-        results match the serial mode cell-for-cell.
-    max_workers:
-        Pool size when ``parallel`` (default: one worker per cell, capped
-        by the CPU count).
     """
 
     designs: Sequence[str] = SOFTWARE_DESIGNS
@@ -112,8 +99,6 @@ class TrainingCurveExperiment:
     training: TrainingConfig = field(default_factory=lambda: TrainingConfig(max_episodes=300))
     seed: int = 42
     gamma: float = 0.99
-    parallel: bool = False
-    max_workers: Optional[int] = None
 
     @staticmethod
     def paper_scale() -> "TrainingCurveExperiment":
@@ -196,25 +181,6 @@ class TrainingCurveExperiment:
         _LOGGER.info("training", design=design, n_hidden=n_hidden,
                      max_episodes=config.max_episodes)
         return Trainer().fit(agent, config=config, n_hidden=n_hidden)
-
-    def run(self) -> TrainingCurveResult:
-        """Run the full sweep and return the collected curves.
-
-        Deprecated shim: delegates to the unified engine
-        (:func:`repro.api.run`), which routes every trial through
-        :class:`~repro.parallel.sweep.SweepRunner`.  Results are
-        byte-identical to the historical in-class loop.
-        """
-        from repro.api.engine import run as run_experiment
-
-        warnings.warn(
-            "TrainingCurveExperiment.run() is a deprecated shim; use "
-            "repro.api.run('figure4') or `python -m repro run figure4`",
-            DeprecationWarning, stacklevel=2)
-        report = run_experiment(self.to_spec(),
-                                backend="process" if self.parallel else "serial",
-                                max_workers=self.max_workers)
-        return report.to_training_curve_result()
 
 
 def stability_classification(result: TrainingResult, *, collapse_window: int = 50,

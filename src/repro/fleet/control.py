@@ -4,10 +4,10 @@ The autoscaler (and anything else that wants to retire workers — an ops
 script, a future multi-broker shard manager) asks the broker to drain
 workers through a short-lived observer connection, exactly like
 :func:`repro.telemetry.fleet.fetch_fleet_stats` queries stats: connect,
-``HELLO`` with an :data:`~repro.distributed.protocol.OBSERVER_PREFIX` id
-(so the connection never enters worker accounting), confirm the broker's
-``WELCOME`` advertises the ``drain`` capability, send ``(DRAIN, [ids])``
-and read back the broker's disposition report::
+the version-checked handshake with an
+:data:`~repro.distributed.protocol.OBSERVER_PREFIX` id (so the connection
+never enters worker accounting), send ``(DRAIN, [ids])`` and read back the
+broker's disposition report::
 
     {"marked": [...], "already_draining": [...],
      "unknown": [...], "gone": [...]}
@@ -28,7 +28,7 @@ from repro.utils.retry import RetryPolicy
 
 
 class FleetControlError(FleetStatusError):
-    """The broker could not be asked to drain (unreachable or pre-1.7)."""
+    """The broker could not be asked to drain (unreachable or another version)."""
 
 
 def request_drain(host: str, port: int, worker_ids: Sequence[str], *,
@@ -37,15 +37,15 @@ def request_drain(host: str, port: int, worker_ids: Sequence[str], *,
     """Ask the broker at ``host:port`` to gracefully drain ``worker_ids``.
 
     Returns the broker's disposition dict (see module docstring).  Raises
-    :class:`FleetControlError` when the broker is unreachable or predates
-    the negotiated ``DRAIN`` capability (repro < 1.7) — the caller should
-    fall back to SIGTERM-ing the worker processes it owns, which on 1.7+
-    workers triggers the same finish-then-exit drain from the other side.
+    :class:`FleetControlError` when the broker cannot be asked: a
+    *transient* error means it is unreachable, and the caller should fall
+    back to SIGTERM-ing the worker processes it owns, which triggers the
+    same finish-then-exit drain from the worker's side.
 
     With ``retry`` set, transient failures are retried on the policy's
     schedule (marking an already-draining worker twice is answered, not
     compounded — the broker reports ``already_draining`` — so a retried
-    drain request is idempotent).  Capability errors raise immediately.
+    drain request is idempotent).  Version mismatches raise immediately.
     """
     ids = [str(worker_id) for worker_id in worker_ids]
     if not ids:
@@ -68,22 +68,14 @@ def request_drain(host: str, port: int, worker_ids: Sequence[str], *,
             transient=True) from error
     with sock:
         try:
-            protocol.send_message(sock, protocol.HELLO, observer_id())
-            kind, info = protocol.recv_message(sock)
-            if kind != protocol.WELCOME:
-                raise protocol.ProtocolError(
-                    f"expected WELCOME, got {kind!r}")
-            if not (isinstance(info, dict) and info.get("drain")):
-                raise FleetControlError(
-                    f"broker at {host}:{port} does not advertise the DRAIN "
-                    "capability (repro < 1.7); retire its workers by "
-                    "signal instead")
+            protocol.hello(sock, observer_id())
             protocol.send_message(sock, protocol.DRAIN, ids)
             kind, report = protocol.recv_message(sock)
             if kind != protocol.DRAIN:
                 raise protocol.ProtocolError(f"expected DRAIN, got {kind!r}")
-        except FleetControlError:
-            raise
+        except protocol.VersionMismatchError as error:
+            raise FleetControlError(
+                f"broker at {host}:{port}: {error}") from error
         except (ConnectionError, OSError) as error:
             raise FleetControlError(
                 f"broker at {host}:{port} dropped the drain request: "

@@ -9,9 +9,10 @@ and determinism guarantees):
   ``step_async``/``step_wait`` split that overlaps env stepping with agent
   compute); :func:`make_vector` builds any of them from a registered id
   with ``spawn_seeds``-derived per-env seeds.
-* **Lock-step training** — :func:`train_agents_lockstep` advances N
-  independent ELM-family trials with batched agent math over a vector env
-  (the single-core throughput path).
+* **Lock-step training** — :meth:`repro.training.Trainer.fit_lockstep`
+  advances N independent trials with batched agent math over a vector env
+  (the single-core throughput path); :func:`supports_lockstep` says which
+  agents the batched strategy replays.
 * **Sweep orchestration** — :class:`SweepRunner` fans a
   (design x env x seed) :class:`SweepSpec` grid across the vectorized,
   process-pool, serial or distributed (:mod:`repro.distributed`) backend
@@ -19,7 +20,6 @@ and determinism guarantees):
 """
 
 from repro.parallel.async_env import AsyncVectorEnv, pipelined_rollout
-from repro.parallel.lockstep import supports_lockstep, train_agents_lockstep
 from repro.parallel.pool import parallel_map
 from repro.parallel.rollout import evaluate_agent_vectorized
 from repro.parallel.subproc import SubprocVectorEnv
@@ -31,6 +31,7 @@ from repro.parallel.vector_env import (
     VectorStepResult,
     make_vector,
 )
+from repro.training.strategies import supports_lockstep
 
 __all__ = [
     "AsyncVectorEnv",
@@ -48,5 +49,4 @@ __all__ = [
     "parallel_map",
     "pipelined_rollout",
     "supports_lockstep",
-    "train_agents_lockstep",
 ]

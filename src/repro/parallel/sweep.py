@@ -6,7 +6,7 @@ cell, derives every task's seed from the sweep's root seed with
 :func:`~repro.utils.seeding.spawn_seeds` (reproducible, pairwise
 non-overlapping), executes the grid on one of three interchangeable
 backends, and aggregates the streamed
-:class:`~repro.rl.recording.TrainingResult`s into a :class:`SweepResult`.
+:class:`~repro.training.records.TrainingResult`s into a :class:`SweepResult`.
 
 Backends
 --------
@@ -82,9 +82,8 @@ class SweepTask:
     env registry's capability metadata
     (:func:`repro.envs.registry.env_dimensions`) at construction.  Passing
     them explicitly still works — unregistered test doubles need it — but an
-    explicit value that *contradicts* the registry is a deprecated override:
-    it warns now and will become an error once the one-release grace period
-    ends (register the env with the right metadata instead).
+    explicit value that *contradicts* the registry raises ``ValueError``
+    (register the env with the right metadata instead).
     """
 
     design: str
@@ -109,16 +108,11 @@ class SweepTask:
         elif self.env_id in env_registry:
             n_states, n_actions = env_dimensions(self.env_id)
             if (self.n_states, self.n_actions) != (n_states, n_actions):
-                import warnings
-
-                warnings.warn(
-                    f"SweepTask(env_id={self.env_id!r}) overrides the registry "
+                raise ValueError(
+                    f"SweepTask(env_id={self.env_id!r}) contradicts the registry "
                     f"dimensions ({n_states}, {n_actions}) with "
-                    f"({self.n_states}, {self.n_actions}); explicit "
-                    "n_states/n_actions overrides are deprecated and will be "
-                    "removed in the next release — register the environment "
-                    "with the intended metadata instead",
-                    DeprecationWarning, stacklevel=3)
+                    f"({self.n_states}, {self.n_actions}); register the "
+                    "environment with the intended metadata instead")
 
     def make_agent(self):
         """Instantiate the trial's agent (called inside the executing worker)."""
@@ -225,9 +219,7 @@ class SweepResult:
     #: Execution path actually taken per entry, aligned with ``entries``:
     #: ``"lockstep"`` (vectorized backend — batched or generic strategy),
     #: ``"process"``, ``"serial"`` or ``"distributed"``.  Makes the sweep
-    #: auditable per trial rather than per aggregate.  (``"serial-fallback"``
-    #: disappeared in 1.4: the generic lock-step strategy now carries the
-    #: designs the batched strategy cannot replay, DQN and FPGA included.)
+    #: auditable per trial rather than per aggregate.
     backends_used: List[str] = field(default_factory=list)
     #: Autoscaled distributed sweeps only: the
     #: :class:`~repro.fleet.FleetReport` of scale/drain events (``None``

@@ -1,23 +1,15 @@
-"""Reinforcement-learning training infrastructure.
+"""Reinforcement-learning helpers around the training loop.
 
-The runner drives any :class:`~repro.core.agents.QLearningAgent` (the ELM /
-OS-ELM designs, the DQN baseline or the FPGA-accelerated agent) against a
-:class:`~repro.envs.core.Env`, applying the paper's protocol: shaped rewards
-for the clipped Q-targets, the 100-episode moving-average solved criterion,
-the 300-episode stall-reset rule and the 50,000-episode "impossible" cutoff.
+Greedy evaluation of a trained agent (:func:`evaluate_agent`) and the
+exploration schedules.  Training itself runs through
+:class:`repro.training.Trainer`.
 """
 
-from repro.rl.recording import EpisodeRecord, TrainingCurve, TrainingResult
-from repro.rl.runner import TrainingConfig, evaluate_agent, train_agent
+from repro.rl.runner import evaluate_agent
 from repro.rl.schedule import ConstantSchedule, ExponentialDecaySchedule, LinearSchedule
 
 __all__ = [
-    "EpisodeRecord",
-    "TrainingCurve",
-    "TrainingResult",
-    "TrainingConfig",
     "evaluate_agent",
-    "train_agent",
     "ConstantSchedule",
     "ExponentialDecaySchedule",
     "LinearSchedule",

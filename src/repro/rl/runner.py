@@ -1,62 +1,20 @@
-"""Deprecated front door of the serial training loop.
+"""Greedy evaluation of a trained agent.
 
-``train_agent`` used to implement Algorithm 1's outer loops by hand; the
-loop now lives in :class:`repro.training.trainer.Trainer` (the one
-canonical loop shared with the lock-step and DQN paths) and this module is
-a thin compatibility wrapper.  Fixed-seed results are bit-for-bit identical
-to the historical implementation — the equivalence suite pins this against
-pre-refactor fixtures.
-
-New code should use::
-
-    from repro.training import Trainer, TrainingConfig
-    result = Trainer().fit(agent, config=TrainingConfig(...))
-
-``TrainingConfig`` itself moved to :mod:`repro.training.config` and is
-re-exported here unchanged.
+Training runs through :meth:`repro.training.Trainer.fit`; this module
+plays no-exploration episodes with the result.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 from repro.core.agents import QLearningAgent
 from repro.envs.core import Env
 from repro.training.config import TrainingConfig
-from repro.training.records import TrainingResult
 from repro.training.trainer import resolve_env as _resolve_env
 from repro.utils.seeding import spawn_seeds
-
-
-def train_agent(agent: QLearningAgent, env: Union[str, Env, None] = None, *,
-                config: TrainingConfig = TrainingConfig(),
-                n_hidden: Optional[int] = None) -> TrainingResult:
-    """Train ``agent`` until the task is solved or the episode budget is exhausted.
-
-    .. deprecated:: 1.4
-        Thin wrapper over :meth:`repro.training.Trainer.fit` (identical
-        results; the Trainer additionally offers callbacks, action repeat
-        and mid-trial checkpointing).
-
-    Parameters
-    ----------
-    agent:
-        Any agent implementing the :class:`~repro.training.protocols.AgentProtocol`
-        interface.
-    env:
-        Environment instance, registered id, or ``None`` to build
-        ``config.env_id``.
-    config:
-        Protocol parameters.
-    n_hidden:
-        Recorded in the result for reporting; inferred from the agent's
-        config when omitted.
-    """
-    from repro.training.trainer import Trainer
-
-    return Trainer().fit(agent, env, config=config, n_hidden=n_hidden)
 
 
 def evaluate_agent(agent: QLearningAgent, env: Union[str, Env, None] = None, *,
@@ -89,4 +47,4 @@ def evaluate_agent(agent: QLearningAgent, env: Union[str, Env, None] = None, *,
     return lengths
 
 
-__all__ = ["TrainingConfig", "evaluate_agent", "train_agent"]
+__all__ = ["evaluate_agent"]

@@ -58,9 +58,8 @@ class WeightPushCallback(Callback):
         weights are worse than a dead trainer.
     backoff:
         :class:`~repro.utils.retry.RetryPolicy` shaping how eagerly a
-        *failing* server is re-tried.  Pre-1.8 behaviour was an
-        unconditional reconnect on every push — a dead server ate a
-        connect timeout per cadence tick.  Now consecutive failures push
+        *failing* server is re-tried, so a dead server does not eat a
+        connect timeout per cadence tick: consecutive failures push
         the next attempt out on the policy's (capped exponential) delay
         schedule; pushes falling inside the cool-down are *skipped* (and
         counted), and the first success resets the schedule.  The deadline

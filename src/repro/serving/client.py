@@ -1,8 +1,8 @@
 """``PolicyClient``: talk to a :class:`~repro.serving.server.PolicyServer`.
 
-The client side of the serving frames: connect, ``HELLO``/``WELCOME``
-negotiate (refusing politely when the peer is a sweep broker rather than a
-serving daemon), then
+The client side of the serving frames: connect, run the version-checked
+``HELLO``/``WELCOME`` handshake (refusing politely when the peer is a sweep
+broker rather than a serving daemon), then
 
 * :meth:`PolicyClient.act` — one observation, one greedy action;
 * :meth:`PolicyClient.act_many` — *pipelined*: all ``ACT`` frames are
@@ -63,7 +63,8 @@ class PolicyClient:
         handshake: *transient* failures (server not up yet, connection
         dropped mid-handshake) back off and retry on its schedule, so a
         client racing a restarting server converges instead of dying.
-        Definitive rejections ("that's a sweep broker") raise immediately.
+        Definitive rejections ("that's a sweep broker", a version
+        mismatch) raise immediately.
         Established connections are never silently re-dialed — a dropped
         request still raises, because replaying it could double-act.
     connect_factory:
@@ -110,15 +111,15 @@ class PolicyClient:
                 f"cannot reach policy server at {host}:{port}: {error}",
                 transient=True) from error
         try:
-            protocol.send_message(sock, protocol.HELLO, self.client_id)
-            kind, info = protocol.recv_message(sock)
-            if kind != protocol.WELCOME or not isinstance(info, dict):
-                raise ServingError(
-                    f"unexpected {kind!r} reply to HELLO from {host}:{port}")
+            info = protocol.hello(sock, self.client_id)
             if not info.get("serving"):
                 raise ServingError(
                     f"peer at {host}:{port} is not a policy server "
                     f"(a sweep broker?); point the client at `repro serve`")
+        except protocol.ProtocolError as error:   # version mismatch, garbled reply
+            sock.close()
+            raise ServingError(
+                f"policy server at {host}:{port}: {error}") from error
         except (ConnectionError, OSError) as error:
             sock.close()
             raise ServingError(

@@ -4,9 +4,9 @@ A TCP daemon on the distributed backend's length-prefixed pickle framing
 (:mod:`repro.distributed.protocol`) that hosts one trained agent per design
 and answers ``ACT`` frames with greedy actions.  Architecture mirrors the
 :class:`~repro.distributed.broker.SweepBroker`: a threaded accept loop with
-a short accept timeout, one handler per connection, ``HELLO``/``WELCOME``
-version negotiation, and a ``STATS`` observability channel — but where the
-broker fans *work out*, this daemon fans *requests in*:
+a short accept timeout, one handler per connection, the version-checked
+``HELLO``/``WELCOME`` handshake, and a ``STATS`` observability channel —
+but where the broker fans *work out*, this daemon fans *requests in*:
 
 * every connection gets a **reader** thread (parses frames, applies swaps,
   queues ``ACT`` requests into the shared :class:`~repro.serving.batcher.
@@ -276,22 +276,22 @@ class PolicyServer:
                                   name="repro-serving-writer", daemon=True)
         writer.start()
         self._connections.inc()
-        client_id = "<unregistered>"
+        client_id: Optional[str] = None     # set by the handshake
         try:
             while not self._closing.is_set():
                 try:
                     kind, payload = protocol.recv_message(
                         connection, max_frame_bytes=self.max_frame_bytes)
+                    if client_id is None:
+                        client_id = self._handshake(kind, payload, replies)
+                        continue
                 except protocol.ProtocolError as error:
                     _LOGGER.warning("client protocol error",
                                     client=client_id, error=str(error))
                     break
                 except (ConnectionError, OSError):
                     break
-                if kind == protocol.HELLO:
-                    client_id = str(payload)
-                    replies.put(("now", protocol.WELCOME, self._welcome_info()))
-                elif kind == protocol.ACT:
+                if kind == protocol.ACT:
                     self._handle_act(payload, replies)
                 elif kind == protocol.SWAP:
                     self._handle_swap(payload, replies)
@@ -312,17 +312,21 @@ class PolicyServer:
             except OSError:
                 pass
 
-    def _welcome_info(self) -> Dict[str, Any]:
-        import repro
-
-        return {
-            "serving": True,
-            "stats": True,
-            "repro_version": repro.__version__,
-            "designs": self.designs(),
-            "max_batch": self.batcher.max_batch,
-            "max_wait_us": self.batcher.max_wait_us,
-        }
+    def _handshake(self, kind: str, payload: Any, replies: Queue) -> str:
+        """Answer the opening ``HELLO``; anything else is refused with ``ERROR``."""
+        try:
+            if kind != protocol.HELLO:
+                raise protocol.ProtocolError(f"expected HELLO, got {kind!r}")
+            client_id = protocol.accept_hello(payload)
+        except protocol.ProtocolError as error:
+            self._errors.inc()
+            replies.put(("now", protocol.ERROR, str(error)))
+            raise
+        replies.put(("now", protocol.WELCOME, protocol.welcome_info(
+            serving=True, designs=self.designs(),
+            max_batch=self.batcher.max_batch,
+            max_wait_us=self.batcher.max_wait_us)))
+        return client_id
 
     def _handle_act(self, payload: Any, replies: Queue) -> None:
         try:

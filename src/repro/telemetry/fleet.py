@@ -1,11 +1,10 @@
 """Client side of the broker ``STATS`` channel: ``repro fleet status``.
 
 :func:`fetch_fleet_stats` opens a short-lived observer connection to a
-live :class:`~repro.distributed.broker.SweepBroker`, performs the normal
-``HELLO``/``WELCOME`` registration (with an id prefixed
+live :class:`~repro.distributed.broker.SweepBroker`, performs the
+version-checked handshake (with an id prefixed
 :data:`~repro.distributed.protocol.OBSERVER_PREFIX` so the broker keeps
-it out of the worker accounting), confirms the broker advertises the
-``STATS`` capability, and returns one JSON-ready snapshot::
+it out of the worker accounting), and returns one JSON-ready snapshot::
 
     {
       "tasks":   {"total": N, "queued": q, "leased": l, "done": d},
@@ -20,7 +19,7 @@ it out of the worker accounting), confirms the broker advertises the
       "drain_seconds": [...],
       "transport": {"frames_sent": ..., "bytes_sent": ..., ...},
       "lease_batch": int, "heartbeat_timeout": float,
-      "repro_version": "1.7.0"
+      "repro_version": "1.9.0"
     }
 
 with ``queued + leased + done == total`` guaranteed by the broker.
@@ -40,11 +39,11 @@ from repro.utils.retry import RetryPolicy
 
 
 class FleetStatusError(ConnectionError):
-    """The broker could not be queried (unreachable, or predates STATS).
+    """The broker could not be queried (unreachable, or another version).
 
     ``transient`` distinguishes failures worth retrying (broker briefly
     unreachable, connection dropped mid-query) from definitive answers
-    (capability missing, malformed reply) that no amount of retrying will
+    (version mismatch, malformed reply) that no amount of retrying will
     change — the ``retry=`` path of the fleet clients backs off only on
     the former.
     """
@@ -65,7 +64,7 @@ def fetch_fleet_stats(host: str, port: int, *, timeout: float = 5.0,
 
     With ``retry`` set, transient failures (broker unreachable or dropping
     the query — e.g. mid-restart from its journal) are retried on the
-    policy's backoff schedule; definitive failures (no STATS capability,
+    policy's backoff schedule; definitive failures (version mismatch,
     malformed reply) raise immediately either way.
     """
     if retry is not None:
@@ -85,21 +84,14 @@ def fetch_fleet_stats(host: str, port: int, *, timeout: float = 5.0,
             transient=True) from error
     with sock:
         try:
-            protocol.send_message(sock, protocol.HELLO, observer_id())
-            kind, info = protocol.recv_message(sock)
-            if kind != protocol.WELCOME:
-                raise protocol.ProtocolError(f"expected WELCOME, got {kind!r}")
-            if not (isinstance(info, dict) and info.get("stats")):
-                raise FleetStatusError(
-                    f"broker at {host}:{port} does not advertise the STATS "
-                    "channel (repro < 1.5); upgrade the broker to use "
-                    "`repro fleet status`")
+            protocol.hello(sock, observer_id())
             protocol.send_message(sock, protocol.STATS)
             kind, snapshot = protocol.recv_message(sock)
             if kind != protocol.STATS:
                 raise protocol.ProtocolError(f"expected STATS, got {kind!r}")
-        except FleetStatusError:
-            raise
+        except protocol.VersionMismatchError as error:
+            raise FleetStatusError(
+                f"broker at {host}:{port}: {error}") from error
         except (ConnectionError, OSError) as error:
             raise FleetStatusError(
                 f"broker at {host}:{port} dropped the stats query: "
@@ -131,8 +123,6 @@ def format_fleet_status(snapshot: Dict[str, object]) -> str:
                for key in ("requeued_tasks", "duplicate_results",
                            "wait_replies", "workers_seen",
                            "active_connections")}),
-        # Pre-1.7 brokers have no drain counters; render zeros either way
-        # so `repro fleet status` output stays line-stable for scripts.
         "drains: requested={drains_requested} completed={drains_completed} "
         "lost_leases={drain_requeued_tasks}".format(
             **{key: counters.get(key, 0)

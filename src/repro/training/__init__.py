@@ -7,10 +7,9 @@ episode/step protocol for any :class:`AgentProtocol` agent, serially or in
 lock-step over a vector env, with a typed :class:`Callback` lifecycle for
 progress streaming, metric recording and mid-trial checkpointing.
 
-The historical entry points — ``repro.rl.runner.train_agent``,
-``repro.parallel.lockstep.train_agents_lockstep`` and the DQN episode loop
-— are deprecated thin wrappers over this package and remain bit-for-bit
-compatible on fixed seeds.
+``Trainer().fit`` (serial) and ``Trainer().fit_lockstep`` (lock-step) are
+the only training entry points; ``tests/data/pinned_curves.json`` pins
+their fixed-seed curves bit for bit.
 """
 
 from repro.training.callbacks import (

@@ -18,9 +18,8 @@ and checkpointing stay loop-agnostic.
 Built-ins
 ---------
 :class:`MetricsRecorder`
-    Assembles the per-trial :class:`~repro.training.records.TrainingCurve`
-    (the metric-recording role ``repro.rl.recording`` used to hard-code into
-    each loop).  The Trainer installs one automatically when absent.
+    Assembles the per-trial :class:`~repro.training.records.TrainingCurve`.
+    The Trainer installs one automatically when absent.
 :class:`ProgressCallback`
     Streams episode progress (episode index, steps, moving average) through
     the structured logger every N episodes — the ``repro run --paper``

@@ -1,9 +1,7 @@
 """The training protocol configuration shared by every Trainer driver.
 
-Historically this lived in ``repro.rl.runner`` (which still re-exports it);
-it moved here when the serial, lock-step and DQN loops were unified under
-:class:`~repro.training.trainer.Trainer` so that the protocol's input
-language lives next to the loop that interprets it.
+It lives next to :class:`~repro.training.trainer.Trainer`, the one loop
+that interprets it for the serial, lock-step and DQN paths.
 """
 
 from __future__ import annotations

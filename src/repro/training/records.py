@@ -1,8 +1,7 @@
 """Training-curve and training-result records (the data behind Figure 4/5).
 
 Home of the metric containers the :class:`~repro.training.trainer.Trainer`
-emits (historically ``repro.rl.recording``, which now re-exports from here).
-The curve itself is assembled by the built-in
+emits.  The curve itself is assembled by the built-in
 :class:`~repro.training.callbacks.MetricsRecorder` callback; these classes
 are the pure data layer shared by the trainer, the sweep engine, the
 artifact store and the reporting adapters.

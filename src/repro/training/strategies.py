@@ -14,7 +14,7 @@ decision point.  Two implementations:
     the unregularized OS-ELM variants whose chaotic P update rules the
     batched strategy out.
 :class:`BatchedELMStrategy`
-    The historical ``train_agents_lockstep`` fast path: stacked hidden
+    The lock-step fast path for ELM-family agents: stacked hidden
     layers, one batched epsilon-greedy sweep and a batched Sherman-Morrison
     sequential update per step.  Requires the batch to share layer sizes
     and every agent to pass :func:`supports_lockstep`.

@@ -16,14 +16,12 @@ Two drivers share that one set of episode semantics:
 
 :meth:`Trainer.fit`
     One agent against one scalar :class:`~repro.envs.core.Env` — the
-    historical ``repro.rl.runner.train_agent`` loop, reproduced
-    bit-for-bit (that function is now a thin wrapper over this method).
+    paper's on-device loop, one transition at a time.
 :meth:`Trainer.fit_lockstep`
     N independent trials advanced in lock-step through one vector env,
     delegating the per-step math to a
     :mod:`~repro.training.strategies` object: the batched ELM/OS-ELM
-    strategy (stacked matmuls + batched Sherman-Morrison, the historical
-    ``train_agents_lockstep``) or the generic strategy that drives *any*
+    strategy (stacked matmuls + batched Sherman-Morrison) or the generic strategy that drives *any*
     protocol agent — which is what finally lets the DQN baseline and the
     FPGA fixed-point design train under the lock-step backend.  Per-trial
     results are bit-for-bit those of the serial driver on fixed seeds.
@@ -351,7 +349,7 @@ class Trainer:
         strategy:
             ``"auto"`` picks the batched ELM/OS-ELM strategy when every
             agent qualifies (see
-            :func:`~repro.parallel.lockstep.supports_lockstep`) and the
+            :func:`~repro.training.strategies.supports_lockstep`) and the
             generic per-agent strategy otherwise; ``"batched"`` /
             ``"generic"`` force one; or pass a strategy instance.
         """

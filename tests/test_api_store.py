@@ -5,7 +5,7 @@ import pytest
 
 from repro.api import ArtifactStore, Budget, ExperimentSpec, run, trial_key
 from repro.api.store import trial_descriptor
-from repro.rl.runner import train_agent
+from repro.training import Trainer
 
 
 def _tiny_spec(name="store-spec", **overrides):
@@ -16,8 +16,8 @@ def _tiny_spec(name="store-spec", **overrides):
 
 
 def _train(task):
-    return train_agent(task.make_agent(), config=task.training,
-                       n_hidden=task.n_hidden)
+    return Trainer().fit(task.make_agent(), config=task.training,
+                         n_hidden=task.n_hidden)
 
 
 class TestTrialKey:

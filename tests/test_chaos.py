@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro import telemetry
 from repro.api import Budget, ExperimentSpec, run
 from repro.chaos import (
     BrokerHarness,
@@ -28,7 +29,7 @@ from repro.distributed.broker import SweepBroker
 from repro.distributed.journal import SweepJournal
 from repro.distributed.worker import WorkerOptions, run_worker
 from repro.parallel.sweep import SweepSpec
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 from repro.utils.retry import RetryError, RetryPolicy
 
 
@@ -171,20 +172,27 @@ class TestWorkerReconnect:
         grid by reconnecting, redelivering stranded results on the way."""
         plan = FaultPlan(drop_after_frames=6)
         policy = RetryPolicy(max_attempts=10, base_delay=0.01, max_delay=0.1)
-        with SweepBroker(_tiny_tasks(3)) as broker:
-            host, port = broker.address
-            completed = run_worker(
-                host, port,
-                WorkerOptions(worker_id="phoenix", handle_signals=False,
-                              reconnect=policy, idle_timeout=10.0,
-                              connect_factory=plan.connect))
-            assert broker.join(timeout=5.0)
-            assert completed == 3
-            assert broker.worker_reconnections >= 1
-            assert broker.stats_snapshot()["counters"][
-                "worker_reconnections"] == broker.worker_reconnections
-            # One worker identity throughout: no ghost workers accumulated.
-            assert list(broker.workers_seen) == ["phoenix"]
+        telemetry.enable()
+        try:
+            with SweepBroker(_tiny_tasks(3)) as broker:
+                host, port = broker.address
+                completed = run_worker(
+                    host, port,
+                    WorkerOptions(worker_id="phoenix", handle_signals=False,
+                                  reconnect=policy, idle_timeout=10.0,
+                                  connect_factory=plan.connect))
+                assert broker.join(timeout=5.0)
+                assert completed == 3
+                assert broker.worker_reconnections >= 1
+                assert broker.stats_snapshot()["counters"][
+                    "worker_reconnections"] == broker.worker_reconnections
+                # One worker identity throughout: no ghost workers accumulated.
+                assert list(broker.workers_seen) == ["phoenix"]
+            counters = telemetry.get_registry().snapshot()["counters"]
+            assert counters["distributed.worker.reconnections"] >= 1
+        finally:
+            telemetry.disable()
+            telemetry.reset()
         assert plan.snapshot()["connections_dropped"] >= 1
 
     def test_exhausted_policy_raises_retry_error(self):
@@ -207,8 +215,9 @@ class TestWorkerReconnect:
 
     def test_idle_timeout_unsticks_a_silent_broker(self):
         """A broker that WELCOMEs then never answers again must not hang the
-        worker forever (the pre-1.8 infinite-block hazard): the idle timeout
-        routes into the reconnect path, which here exhausts quickly."""
+        worker forever (a half-open connection would block without bound):
+        the idle timeout routes into the reconnect path, which here exhausts
+        quickly."""
         server = socket.socket()
         server.bind(("127.0.0.1", 0))
         server.listen(1)
@@ -220,7 +229,8 @@ class TestWorkerReconnect:
             hold.append(connection)          # keep it open, answer HELLO only
             kind, _payload = protocol.recv_message(connection)
             assert kind == protocol.HELLO
-            protocol.send_message(connection, protocol.WELCOME, {"tasks": 1})
+            protocol.send_message(connection, protocol.WELCOME,
+                                  protocol.welcome_info(tasks=1))
 
         thread = threading.Thread(target=silent_broker, daemon=True)
         thread.start()

@@ -14,16 +14,17 @@ import time
 
 import pytest
 
+import repro
 from repro.distributed import protocol
 from repro.distributed.broker import SweepBroker
 from repro.distributed.coordinator import run_distributed_sweep
 from repro.parallel.sweep import SweepSpec
-from repro.rl.runner import TrainingConfig
 from repro.telemetry.fleet import (
     FleetStatusError,
     fetch_fleet_stats,
     format_fleet_status,
 )
+from repro.training import TrainingConfig
 
 
 def _tiny_tasks(n_seeds=2):
@@ -38,19 +39,16 @@ class _ScriptedWorker:
     def __init__(self, broker, worker_id="scripted"):
         host, port = broker.address
         self.sock = socket.create_connection((host, port), timeout=5.0)
-        protocol.send_message(self.sock, protocol.HELLO, worker_id)
-        kind, info = protocol.recv_message(self.sock)
-        assert kind == protocol.WELCOME
-        self.welcome_info = info
-        self.announced_tasks = info["tasks"]
+        self.welcome_info = protocol.hello(self.sock, worker_id)
+        self.announced_tasks = self.welcome_info["tasks"]
 
-    def get(self, capacity=None):
-        """GET with an advertised lease capacity (None = pre-1.4 worker)."""
+    def get(self, capacity=1):
+        """GET with an advertised lease capacity."""
         protocol.send_message(self.sock, protocol.GET, capacity)
         return protocol.recv_message(self.sock)
 
     def stats(self):
-        """Request one STATS snapshot over this connection (1.5+)."""
+        """Request one STATS snapshot over this connection."""
         protocol.send_message(self.sock, protocol.STATS)
         kind, snapshot = protocol.recv_message(self.sock)
         assert kind == protocol.STATS
@@ -92,8 +90,8 @@ class TestBrokerProtocol:
             worker = _ScriptedWorker(broker)
             assert worker.announced_tasks == 2
             for expected_index in (0, 1):
-                kind, (index, task) = worker.get()
-                assert kind == protocol.TASK and index == expected_index
+                kind, [(index, task)] = worker.get()
+                assert kind == protocol.TASKS and index == expected_index
                 assert worker.send_result(index, result=f"r{index}") is True
             kind, _ = worker.get()
             assert kind == protocol.SHUTDOWN
@@ -110,14 +108,14 @@ class TestBrokerProtocol:
         """A dropped connection (kill -9 equivalent) returns the lease."""
         with SweepBroker(_tiny_tasks(1)) as broker:
             doomed = _ScriptedWorker(broker, "doomed")
-            kind, (index, _) = doomed.get()
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _)] = doomed.get()
+            assert kind == protocol.TASKS and index == 0
             doomed.close()                       # dies holding the lease
             _wait_until(lambda: broker.requeued_tasks == 1,
                         message="disconnect requeue")
             survivor = _ScriptedWorker(broker, "survivor")
-            kind, (index, _) = survivor.get()
-            assert kind == protocol.TASK and index == 0   # same task again
+            kind, [(index, _)] = survivor.get()
+            assert kind == protocol.TASKS and index == 0   # same task again
             assert survivor.send_result(0) is True
             assert broker.join(timeout=1.0)
             survivor.close()
@@ -126,13 +124,13 @@ class TestBrokerProtocol:
         """A hung worker (connected, no heartbeats) loses its lease."""
         with SweepBroker(_tiny_tasks(1), heartbeat_timeout=0.3) as broker:
             hung = _ScriptedWorker(broker, "hung")
-            kind, (index, _) = hung.get()
-            assert kind == protocol.TASK
+            kind, [(index, _)] = hung.get()
+            assert kind == protocol.TASKS
             _wait_until(lambda: broker.requeued_tasks == 1, timeout=3.0,
                         message="lease expiry")
             survivor = _ScriptedWorker(broker, "survivor")
-            kind, (index, _) = survivor.get()
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _)] = survivor.get()
+            assert kind == protocol.TASKS and index == 0
             survivor.send_result(0)
             assert broker.join(timeout=1.0)
             hung.close()
@@ -141,8 +139,8 @@ class TestBrokerProtocol:
     def test_heartbeats_keep_a_slow_trial_leased(self):
         with SweepBroker(_tiny_tasks(1), heartbeat_timeout=0.4) as broker:
             worker = _ScriptedWorker(broker)
-            kind, (index, _) = worker.get()
-            assert kind == protocol.TASK
+            kind, [(index, _)] = worker.get()
+            assert kind == protocol.TASKS
             for _ in range(10):                  # 1s of training, beating at 0.1s
                 time.sleep(0.1)
                 worker.heartbeat()
@@ -155,13 +153,13 @@ class TestBrokerProtocol:
         """First delivery wins; the duplicate is acked but dropped."""
         with SweepBroker(_tiny_tasks(1), heartbeat_timeout=0.2) as broker:
             slow = _ScriptedWorker(broker, "slow")
-            kind, (index, _) = slow.get()
-            assert kind == protocol.TASK
+            kind, [(index, _)] = slow.get()
+            assert kind == protocol.TASKS
             _wait_until(lambda: broker.requeued_tasks == 1, timeout=3.0,
                         message="lease expiry")   # slow looks dead; task requeued
             fast = _ScriptedWorker(broker, "fast")
-            kind, (index, _) = fast.get()
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _)] = fast.get()
+            assert kind == protocol.TASKS and index == 0
             assert fast.send_result(0, result="first") is True
             # ...now the "dead" worker wakes up and delivers anyway.
             assert slow.send_result(0, result="second") is False
@@ -175,8 +173,8 @@ class TestBrokerProtocol:
         the next GET sees SHUTDOWN, not a pointless re-lease."""
         with SweepBroker(_tiny_tasks(1), heartbeat_timeout=0.2) as broker:
             slow = _ScriptedWorker(broker, "slow")
-            kind, (index, _) = slow.get()
-            assert kind == protocol.TASK
+            kind, [(index, _)] = slow.get()
+            assert kind == protocol.TASKS
             _wait_until(lambda: broker.requeued_tasks == 1, timeout=3.0,
                         message="lease expiry")
             # The original holder delivers anyway — still the first result.
@@ -194,13 +192,13 @@ class TestBrokerProtocol:
         disconnect must not yank the new holder's lease."""
         with SweepBroker(_tiny_tasks(1), heartbeat_timeout=0.2) as broker:
             stale = _ScriptedWorker(broker, "stale")
-            kind, (index, _) = stale.get()
-            assert kind == protocol.TASK
+            kind, [(index, _)] = stale.get()
+            assert kind == protocol.TASKS
             _wait_until(lambda: broker.requeued_tasks == 1, timeout=3.0,
                         message="lease expiry")
             current = _ScriptedWorker(broker, "current")
-            kind, (index, _) = current.get()
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _)] = current.get()
+            assert kind == protocol.TASKS and index == 0
             stale.close()                        # must not requeue task 0 again
             time.sleep(0.1)
             assert broker.requeued_tasks == 1
@@ -214,7 +212,7 @@ class TestBrokerProtocol:
         with SweepBroker(_tiny_tasks(1)) as broker:
             holder = _ScriptedWorker(broker, "holder")
             kind, _ = holder.get()
-            assert kind == protocol.TASK
+            assert kind == protocol.TASKS
             idle = _ScriptedWorker(broker, "idle")
             kind, seconds = idle.get()
             assert kind == protocol.WAIT and seconds > 0
@@ -302,18 +300,20 @@ class TestLeaseBatching:
             assert [r for r, _ in broker.results()] == ["r0", "r1", "r2"]
             worker.close()
 
-    def test_pre_batching_worker_gets_classic_task_frames(self):
-        """Capability negotiation: a worker that does not advertise a lease
-        capacity (a pre-1.4 `repro worker`) must keep receiving one TASK
-        frame per GET even from a batching broker."""
-        with SweepBroker(_tiny_tasks(2), lease_batch=4) as broker:
-            legacy = _ScriptedWorker(broker, worker_id="legacy")
-            for expected_index in (0, 1):
-                kind, (index, _task) = legacy.get()      # None capacity
-                assert kind == protocol.TASK and index == expected_index
-                legacy.send_result(index, result=f"r{index}")
-            assert broker.join(timeout=1.0)
-            legacy.close()
+    @pytest.mark.parametrize("capacity", [None, 0, "8", True, {"capacity": 8}],
+                             ids=["none", "zero", "str", "bool", "dict"])
+    def test_get_payload_must_be_a_positive_int(self, capacity):
+        """Sockets are untrusted input: any GET payload but a positive int is
+        a protocol violation — the broker drops the connection and leases
+        nothing."""
+        with SweepBroker(_tiny_tasks(1), lease_batch=4) as broker:
+            worker = _ScriptedWorker(broker, worker_id="garbled")
+            protocol.send_message(worker.sock, protocol.GET, capacity)
+            worker.sock.settimeout(5.0)
+            with pytest.raises(ConnectionError):
+                protocol.recv_message(worker.sock)
+            assert broker.stats_snapshot()["tasks"]["queued"] == 1
+            worker.close()
 
     def test_capacity_caps_batch_below_broker_lease_batch(self):
         with SweepBroker(_tiny_tasks(3), lease_batch=3) as broker:
@@ -322,18 +322,20 @@ class TestLeaseBatching:
             assert kind == protocol.TASKS and len(leased) == 2
             for index, _ in leased:
                 worker.send_result(index, result=f"r{index}")
-            kind, payload = worker.get(capacity=1)       # single-task request
-            assert kind == protocol.TASK
-            worker.send_result(payload[0], result="r-last")
+            kind, [(index, _task)] = worker.get(capacity=1)   # single-task request
+            assert kind == protocol.TASKS
+            worker.send_result(index, result="r-last")
             assert broker.join(timeout=1.0)
             worker.close()
 
-    def test_lease_batch_one_keeps_classic_task_frames(self):
-        with SweepBroker(_tiny_tasks(1), lease_batch=1) as broker:
+    def test_lease_batch_one_leases_one_task_per_get(self):
+        with SweepBroker(_tiny_tasks(2), lease_batch=1) as broker:
             worker = _ScriptedWorker(broker)
-            kind, payload = worker.get()
-            assert kind == protocol.TASK           # wire-compatible default
-            worker.send_result(payload[0], result="r")
+            kind, [(index, _task)] = worker.get(capacity=8)
+            assert kind == protocol.TASKS and index == 0
+            worker.send_result(index, result="r0")
+            kind, [(index, _task)] = worker.get(capacity=8)
+            worker.send_result(index, result="r1")
             worker.close()
             assert broker.join(timeout=1.0)
 
@@ -400,12 +402,13 @@ class TestLeaseBatching:
 
 
 class TestStatsChannel:
-    """The 1.5 STATS frame + `repro fleet status` client, wire level."""
+    """The STATS frame + `repro fleet status` client, wire level."""
 
-    def test_welcome_advertises_stats_capability(self):
+    def test_welcome_carries_version_and_no_capability_flags(self):
         with SweepBroker(_tiny_tasks(1)) as broker:
             worker = _ScriptedWorker(broker)
-            assert worker.welcome_info["stats"] is True
+            assert worker.welcome_info == {"tasks": 1,
+                                           "version": repro.__version__}
             worker.close()
 
     def test_stats_on_untouched_grid(self):
@@ -501,24 +504,6 @@ class TestStatsChannel:
             assert snap["counters"]["requeued_tasks"] == 1
             observer.close()
 
-    def test_pre_stats_worker_serves_unchanged(self):
-        """Mixed fleet: a worker that ignores the stats flag and never sends
-        a STATS frame (a pre-1.5 `repro worker`) completes tasks exactly as
-        before, and its work is still attributed in the snapshot."""
-        with SweepBroker(_tiny_tasks(2)) as broker:
-            legacy = _ScriptedWorker(broker, "legacy")   # never calls .stats()
-            assert legacy.announced_tasks == 2           # reads only "tasks"
-            for index in (0, 1):
-                kind, (got, _task) = legacy.get()
-                assert kind == protocol.TASK and got == index
-                legacy.send_result(index, result=f"r{index}")
-            assert broker.join(timeout=1.0)
-            host, port = broker.address
-            snap = fetch_fleet_stats(host, port)
-            assert snap["workers"]["legacy"]["completed"] == 2
-            assert snap["tasks"]["done"] == 2
-            legacy.close()
-
     def test_observer_stays_out_of_worker_accounting(self):
         with SweepBroker(_tiny_tasks(1)) as broker:
             worker = _ScriptedWorker(broker, "real-worker")
@@ -537,30 +522,6 @@ class TestStatsChannel:
         probe.close()                            # nothing listens here now
         with pytest.raises(FleetStatusError, match="cannot reach"):
             fetch_fleet_stats("127.0.0.1", port, timeout=0.5)
-
-    def test_fetch_fleet_stats_rejects_pre_stats_broker(self):
-        """Wire-level downgrade: a broker whose WELCOME lacks the stats flag
-        (repro < 1.5) yields an actionable error, not a hang or traceback."""
-        server = socket.socket()
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
-        host, port = server.getsockname()[:2]
-
-        def legacy_broker():
-            connection, _ = server.accept()
-            with connection:
-                kind, _ = protocol.recv_message(connection)
-                assert kind == protocol.HELLO
-                protocol.send_message(connection, protocol.WELCOME,
-                                      {"tasks": 5})   # pre-1.5: no stats flag
-        thread = threading.Thread(target=legacy_broker, daemon=True)
-        thread.start()
-        try:
-            with pytest.raises(FleetStatusError, match="does not advertise"):
-                fetch_fleet_stats(host, port, timeout=2.0)
-            thread.join(timeout=2.0)
-        finally:
-            server.close()
 
     def test_format_fleet_status_renders_workers_and_empty_fleet(self):
         with SweepBroker(_tiny_tasks(2)) as broker:
@@ -621,17 +582,17 @@ class TestWorkerReconnectAccounting:
     def test_duplicate_result_from_reconnected_worker_is_deduped(self):
         """A worker dies holding a lease, someone else retrains the task,
         then the original worker reconnects and redelivers its stranded
-        result — the exact redelivery race the 1.8 reconnect loop creates."""
+        result — the exact redelivery race the worker reconnect loop creates."""
         with SweepBroker(_tiny_tasks(1)) as broker:
             original = _ScriptedWorker(broker, "flaky")
-            kind, (index, _task) = original.get()
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _task)] = original.get()
+            assert kind == protocol.TASKS and index == 0
             original.close()                     # connection cut mid-trial
             _wait_until(lambda: broker.requeued_tasks == 1,
                         message="lease requeued")
             other = _ScriptedWorker(broker, "steady")
-            kind, (index, _task) = other.get()
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _task)] = other.get()
+            assert kind == protocol.TASKS and index == 0
             assert other.send_result(0, result="retrained") is True
             # The flaky worker comes back under its old id and redelivers.
             revenant = _ScriptedWorker(broker, "flaky")
@@ -643,17 +604,8 @@ class TestWorkerReconnectAccounting:
             revenant.close()
 
 
-DRAIN_CAPACITY = {"capacity": 8, "drain": True}   # a 1.7+ worker's GET payload
-
-
 class TestDrainProtocol:
-    """The negotiated DRAIN frame: graceful worker retirement (1.7+)."""
-
-    def test_welcome_advertises_drain_capability(self):
-        with SweepBroker(_tiny_tasks(1)) as broker:
-            worker = _ScriptedWorker(broker)
-            assert worker.welcome_info["drain"] is True
-            worker.close()
+    """The DRAIN frame: graceful worker retirement."""
 
     def test_marked_worker_finishes_lease_then_gets_drain_frame(self):
         """The full choreography: mark -> deliver in-flight -> DRAIN -> exit,
@@ -663,15 +615,15 @@ class TestDrainProtocol:
         with SweepBroker(_tiny_tasks(3)) as broker:
             host, port = broker.address
             worker = _ScriptedWorker(broker, "w0")
-            kind, (index, _task) = worker.get(DRAIN_CAPACITY)
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _task)] = worker.get()
+            assert kind == protocol.TASKS and index == 0
             report = request_drain(host, port, ["w0"])
             assert report == {"marked": ["w0"], "already_draining": [],
                               "unknown": [], "gone": []}
             # In-flight result still lands normally after the mark...
             assert worker.send_result(0) is True
             # ...and the next GET is the retirement order, not a lease.
-            kind, payload = worker.get(DRAIN_CAPACITY)
+            kind, payload = worker.get()
             assert kind == protocol.DRAIN and payload is None
             worker.close()
             _wait_until(lambda: broker.drains_completed == 1,
@@ -682,29 +634,9 @@ class TestDrainProtocol:
             assert len(broker.drain_durations) == 1
             # The drained worker's delivered result is never re-leased.
             survivor = _ScriptedWorker(broker, "w1")
-            kind, (index, _task) = survivor.get(DRAIN_CAPACITY)
-            assert kind == protocol.TASK and index == 1
+            kind, [(index, _task)] = survivor.get()
+            assert kind == protocol.TASKS and index == 1
             survivor.close()
-
-    def test_legacy_worker_marked_for_drain_degrades_gracefully(self):
-        """A pre-1.7 worker (bare-int GET payload) never negotiated DRAIIN,
-        so a drain mark must not change what it is served — the supervisor
-        retires such workers by signal instead."""
-        with SweepBroker(_tiny_tasks(2)) as broker:
-            legacy = _ScriptedWorker(broker, "old")
-            assert broker.mark_draining(["old"])["marked"] == ["old"]
-            kind, (index, _task) = legacy.get(8)     # int: pre-1.7 payload
-            assert kind == protocol.TASK and index == 0
-            legacy.send_result(0)
-            kind, _ = legacy.get(None)               # pre-1.4 payload form
-            assert kind == protocol.TASK
-            legacy.send_result(1)
-            legacy.close()
-            # Disconnecting with everything delivered still settles as a
-            # graceful drain on the broker's books.
-            _wait_until(lambda: broker.drains_completed == 1,
-                        message="legacy drain settled")
-            assert broker.drain_requeued_tasks == 0
 
     def test_self_drain_announce_is_unsolicited(self):
         """(DRAIN, None) from a worker (SIGTERM landed) marks it without a
@@ -725,8 +657,8 @@ class TestDrainProtocol:
         is pinned on drain_requeued_tasks (the counter CI asserts is 0)."""
         with SweepBroker(_tiny_tasks(2)) as broker:
             doomed = _ScriptedWorker(broker, "doomed")
-            kind, (index, _task) = doomed.get(DRAIN_CAPACITY)
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _task)] = doomed.get()
+            assert kind == protocol.TASKS and index == 0
             broker.mark_draining(["doomed"])
             doomed.close()                       # dies holding the lease
             _wait_until(lambda: broker.drain_requeued_tasks == 1,
@@ -736,8 +668,8 @@ class TestDrainProtocol:
             survivor = _ScriptedWorker(broker, "survivor")
             served = set()
             for _ in range(2):                   # task 1 + the requeued task 0
-                kind, (index, _task) = survivor.get(DRAIN_CAPACITY)
-                assert kind == protocol.TASK
+                kind, [(index, _task)] = survivor.get()
+                assert kind == protocol.TASKS
                 served.add(index)
             assert served == {0, 1}              # the lost lease came back
             survivor.close()
@@ -765,7 +697,7 @@ class TestDrainProtocol:
     def test_stats_snapshot_reports_drain_state(self):
         with SweepBroker(_tiny_tasks(1)) as broker:
             worker = _ScriptedWorker(broker, "w0")
-            worker.get(DRAIN_CAPACITY)
+            worker.get()
             broker.mark_draining(["w0"])
             snap = broker.stats_snapshot()
             assert snap["workers"]["w0"]["draining"] is True
@@ -795,13 +727,13 @@ class TestDrainProtocol:
             # join: two workers lease one task each
             a = _ScriptedWorker(broker, "a")
             b = _ScriptedWorker(broker, "b")
-            _, (ia, _t) = a.get(DRAIN_CAPACITY)
-            _, (ib, _t) = b.get(DRAIN_CAPACITY)
+            _, [(ia, _t)] = a.get()
+            _, [(ib, _t)] = b.get()
             assert check(broker)["leased"] == 2
             # drain: a delivers its last result, is marked, disconnects
             assert a.send_result(ia) is True
             request_drain(host, port, ["a"])
-            kind, _ = a.get(DRAIN_CAPACITY)
+            kind, _ = a.get()
             assert kind == protocol.DRAIN
             a.close()
             _wait_until(lambda: broker.drains_completed == 1,
@@ -821,11 +753,11 @@ class TestDrainProtocol:
             assert check(broker)["done"] == done_after_drain
             # c finishes the rest of the grid; totals reconcile to the end
             while True:
-                kind, payload = c.get(DRAIN_CAPACITY)
+                kind, payload = c.get()
                 if kind == protocol.SHUTDOWN:
                     break
-                assert kind == protocol.TASK
-                index, _task = payload
+                assert kind == protocol.TASKS
+                [(index, _task)] = payload
                 c.send_result(index)
                 check(broker)
             assert broker.join(timeout=2.0)
@@ -835,98 +767,32 @@ class TestDrainProtocol:
             c.close()
 
 
-class TestDrainCrossVersion:
-    """Version hygiene: 1.7 workers against pre-1.7 brokers and vice versa."""
+class TestDrainEndToEnd:
+    """Real worker loops retired through both drain paths."""
 
-    def test_new_worker_against_pre_drain_broker_sends_legacy_get(self):
-        """A 1.7 worker that sees no drain flag in WELCOME must fall back to
-        the bare-int GET payload a pre-1.7 broker understands."""
-        from repro.distributed.worker import (LEASE_CAPACITY, WorkerOptions,
-                                              run_worker)
-
-        server = socket.socket()
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
-        host, port = server.getsockname()[:2]
-        seen_payloads = []
-
-        def legacy_broker():
-            connection, _ = server.accept()
-            with connection:
-                kind, _ = protocol.recv_message(connection)
-                assert kind == protocol.HELLO
-                protocol.send_message(connection, protocol.WELCOME,
-                                      {"tasks": 1, "stats": True})  # no drain
-                kind, payload = protocol.recv_message(connection)
-                assert kind == protocol.GET
-                seen_payloads.append(payload)
-                protocol.send_message(connection, protocol.SHUTDOWN, None)
-
-        thread = threading.Thread(target=legacy_broker, daemon=True)
-        thread.start()
-        try:
-            completed = run_worker(host, port,
-                                   WorkerOptions(worker_id="new-worker",
-                                                 handle_signals=False))
-            thread.join(timeout=2.0)
-        finally:
-            server.close()
-        assert completed == 0
-        assert seen_payloads == [LEASE_CAPACITY]   # bare int, never a dict
-
-    def test_request_drain_rejects_pre_drain_broker(self):
-        from repro.fleet import FleetControlError, request_drain
-
-        server = socket.socket()
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
-        host, port = server.getsockname()[:2]
-
-        def legacy_broker():
-            connection, _ = server.accept()
-            with connection:
-                kind, _ = protocol.recv_message(connection)
-                assert kind == protocol.HELLO
-                protocol.send_message(connection, protocol.WELCOME,
-                                      {"tasks": 1, "stats": True})
-
-        thread = threading.Thread(target=legacy_broker, daemon=True)
-        thread.start()
-        try:
-            with pytest.raises(FleetControlError, match="does not advertise"):
-                request_drain(host, port, ["w0"], timeout=2.0)
-            thread.join(timeout=2.0)
-        finally:
-            server.close()
-
-    def test_new_worker_against_new_broker_negotiates_drain(self):
-        """End to end over real sockets: the worker upgrades its GET payload
-        to the capability dict and honours a DRAIN reply by exiting."""
+    def test_request_drain_retires_live_worker(self):
+        """A drain requested while the worker holds a lease retires it at
+        its next GET: the in-flight result lands, nothing is requeued."""
         from repro.distributed.worker import WorkerOptions, run_worker
         from repro.fleet import request_drain
 
         with SweepBroker(_tiny_tasks(2)) as broker:
             host, port = broker.address
-            drain = threading.Event()
-            done = {}
-
-            def serve():
-                done["completed"] = run_worker(
-                    host, port, WorkerOptions(worker_id="w0",
-                                              handle_signals=False,
-                                              drain_event=drain))
-
-            thread = threading.Thread(target=serve, daemon=True)
-            thread.start()
-            _wait_until(lambda: broker.completed_count >= 1,
-                        message="first result")
-            request_drain(host, port, ["w0"])
-            thread.join(timeout=10.0)
-            assert not thread.is_alive()
+            reports = []
+            # The broker runs the callback before it ACKs the first result,
+            # so the mark lands before the worker can ask for the second task.
+            broker.callback = lambda task, result: reports.append(
+                request_drain(host, port, ["w0"]))
+            completed = run_worker(host, port,
+                                   WorkerOptions(worker_id="w0",
+                                                 handle_signals=False))
+            assert completed == 1
+            assert reports == [{"marked": ["w0"], "already_draining": [],
+                                "unknown": [], "gone": []}]
             _wait_until(lambda: broker.drains_completed == 1,
                         message="drain settled")
             assert broker.drain_requeued_tasks == 0
-            assert done["completed"] >= 1
+            assert broker.requeued_tasks == 0
 
     def test_worker_drain_event_announces_self_drain(self):
         """The drain_event / signal path: the worker stops at the next batch

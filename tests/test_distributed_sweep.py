@@ -24,7 +24,7 @@ from repro.distributed import (
     spawn_local_workers,
 )
 from repro.parallel.sweep import SweepRunner, SweepSpec, _run_sweep_task
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 
 
 def _tiny_sweep(n_seeds=3, max_episodes=20):

@@ -13,9 +13,11 @@ import time
 
 import pytest
 
+from repro.chaos import free_port
 from repro.fleet import (
     AutoscaleConfig,
     FleetAutoscaler,
+    FleetControlError,
     FleetObservation,
     FleetReport,
     ScalingDecision,
@@ -24,7 +26,7 @@ from repro.fleet import (
     WorkerView,
 )
 from repro.parallel.sweep import SweepRunner, SweepSpec
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 
 
 def _tiny_spec(n_seeds=3, max_episodes=3):
@@ -208,6 +210,42 @@ class TestObservationAndConfig:
         assert not ScalingDecision()
         assert ScalingDecision(spawn=1)
         assert ScalingDecision(retire=("a",))
+
+
+class _SignalRecorder:
+    """Supervisor double: owns every worker and records the SIGTERMs."""
+
+    def __init__(self):
+        self.signalled = []
+
+    def owns(self, worker_id):
+        return True
+
+    def signal(self, worker_ids):
+        self.signalled.extend(worker_ids)
+        return list(worker_ids)
+
+
+class TestRetireFallback:
+    """SIGTERM stands in for the broker's DRAIN only when it is unreachable."""
+
+    def test_unreachable_broker_falls_back_to_sigterm(self):
+        supervisor = _SignalRecorder()
+        scaler = FleetAutoscaler("127.0.0.1", free_port(), supervisor=supervisor)
+        scaler._actuate_retire(ScalingDecision(retire=("w0",), reason="idle"))
+        assert supervisor.signalled == ["w0"]
+        assert scaler.report.drains_requested == 1
+
+    def test_version_mismatch_is_raised_not_signalled_around(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise FleetControlError("broker at h:1: repro version mismatch")
+
+        monkeypatch.setattr("repro.fleet.autoscaler.request_drain", refuse)
+        supervisor = _SignalRecorder()
+        scaler = FleetAutoscaler("127.0.0.1", 1, supervisor=supervisor)
+        with pytest.raises(FleetControlError, match="version mismatch"):
+            scaler._actuate_retire(ScalingDecision(retire=("w0",), reason="idle"))
+        assert supervisor.signalled == []
 
 
 class TestEndToEnd:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro import TrainingConfig, evaluate_agent, make_design, train_agent
+from repro import Trainer, TrainingConfig, evaluate_agent, make_design
 from repro.core.agents import AgentConfig, OSELMQAgent
 from repro.core.regularization import RegularizationConfig
 from repro.envs import make as make_env
@@ -20,14 +20,14 @@ from repro.fpga.platform import PynqZ1Platform
 class TestPublicAPI:
     def test_version_and_exports(self):
         assert repro.__version__
-        for name in ("make_design", "train_agent", "OSELM", "ELM", "DESIGN_NAMES",
+        for name in ("make_design", "Trainer", "OSELM", "ELM", "DESIGN_NAMES",
                      "FPGAAcceleratedOSELM", "PynqZ1Platform", "Q20"):
             assert hasattr(repro, name), name
 
     def test_quickstart_flow(self):
         """The README quickstart must work as written (tiny budget here)."""
         agent = repro.make_design("OS-ELM-L2-Lipschitz", n_hidden=16, seed=0)
-        result = repro.train_agent(agent, config=repro.TrainingConfig(max_episodes=5, seed=0))
+        result = repro.Trainer().fit(agent, config=repro.TrainingConfig(max_episodes=5, seed=0))
         assert result.episodes == 5
 
 
@@ -37,7 +37,7 @@ class TestAllDesignsSmoke:
     def test_each_design_trains_without_error(self, design):
         agent = make_design(design, n_hidden=16, seed=3)
         config = TrainingConfig(max_episodes=4, seed=3)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         assert result.design == agent.name
         assert result.episodes == 4
         assert result.breakdown.total() >= 0
@@ -49,7 +49,7 @@ class TestAllDesignsSmoke:
         must keep running (the paper's 'unstable' behaviour) rather than crash."""
         agent = make_design("OS-ELM", n_hidden=32, seed=2)
         config = TrainingConfig(max_episodes=60, seed=2)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         assert result.episodes == 60   # completed the run without raising
 
 
@@ -60,7 +60,7 @@ class TestLearningBehaviour:
         agent = make_design("OS-ELM-L2", n_hidden=64, seed=6, reset_after_episodes=None)
         config = TrainingConfig(max_episodes=600, seed=6, stop_when_solved=True,
                                 solved_threshold=80.0, solved_window=30)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         peak = float(result.curve.moving_average.max())
         assert result.solved or peak > 40.0
 
@@ -70,7 +70,7 @@ class TestLearningBehaviour:
         agent = make_design("DQN", n_hidden=32, seed=0)
         config = TrainingConfig(max_episodes=150, seed=0, solved_threshold=120.0,
                                 solved_window=20)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         greedy_lengths = evaluate_agent(agent, n_episodes=5, config=TrainingConfig(seed=9))
         assert result.solved or float(np.mean(greedy_lengths)) > 60.0
 
@@ -79,7 +79,7 @@ class TestFPGAPathIntegration:
     def test_fpga_agent_accumulates_modelled_time(self):
         agent = make_design("FPGA", n_hidden=16, seed=0)
         config = TrainingConfig(max_episodes=10, seed=0)
-        train_agent(agent, config=config)
+        Trainer().fit(agent, config=config)
         modelled = agent.model.modelled_time
         assert modelled.counts.get("seq_train", 0) > 0
         assert modelled.counts.get("predict_seq", 0) > 0
@@ -136,7 +136,7 @@ class TestCustomConfigurations:
                              regularization=RegularizationConfig.l2(1.0))
         agent = OSELMQAgent(config)
         assert agent.config.input_size == 6
-        result = train_agent(agent, config=TrainingConfig(max_episodes=3, seed=0))
+        result = Trainer().fit(agent, config=TrainingConfig(max_episodes=3, seed=0))
         assert result.episodes == 3
 
     def test_mountain_car_environment_with_oselm(self):
@@ -147,7 +147,7 @@ class TestCustomConfigurations:
         env = make_env("MountainCar-v0", seed=0)
         training = TrainingConfig(env_id="MountainCar-v0", max_episodes=3,
                                   reward_shaping=False, seed=0)
-        result = train_agent(agent, env, config=training)
+        result = Trainer().fit(agent, env, config=training)
         assert result.episodes == 3
 
     def test_acrobot_environment_with_dqn(self):
@@ -156,5 +156,5 @@ class TestCustomConfigurations:
         env = make_env("Acrobot-v1", seed=0, max_episode_steps=60)
         training = TrainingConfig(env_id="Acrobot-v1", max_episodes=2,
                                   reward_shaping=False, seed=0)
-        result = train_agent(agent, env, config=training)
+        result = Trainer().fit(agent, env, config=training)
         assert result.episodes == 2

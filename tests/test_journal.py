@@ -21,7 +21,7 @@ from repro.distributed.journal import (
     task_journal_key,
 )
 from repro.parallel.sweep import SweepSpec
-from repro.rl.runner import TrainingConfig
+from repro.training import TrainingConfig
 
 
 def _tiny_tasks(n_seeds=2, root_seed=99):
@@ -37,12 +37,9 @@ class _ScriptedWorker:
     def __init__(self, broker, worker_id="scripted"):
         host, port = broker.address
         self.sock = socket.create_connection((host, port), timeout=5.0)
-        protocol.send_message(self.sock, protocol.HELLO, worker_id)
-        kind, info = protocol.recv_message(self.sock)
-        assert kind == protocol.WELCOME
-        self.welcome_info = info
+        self.welcome_info = protocol.hello(self.sock, worker_id)
 
-    def get(self, capacity=None):
+    def get(self, capacity=1):
         protocol.send_message(self.sock, protocol.GET, capacity)
         return protocol.recv_message(self.sock)
 
@@ -155,8 +152,8 @@ class TestBrokerJournalReplay:
         first = SweepBroker(tasks, journal=str(path)).start()   # str coerces
         try:
             worker = _ScriptedWorker(first, "w0")
-            kind, (index, _task) = worker.get()
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _task)] = worker.get()
+            assert kind == protocol.TASKS and index == 0
             assert worker.send_result(0, result="r0") is True
             worker.close()
         finally:
@@ -171,8 +168,8 @@ class TestBrokerJournalReplay:
                                      "leased": 0, "done": 1}
             assert snap["counters"]["journal_replayed"] == 1
             worker = _ScriptedWorker(second, "w1")
-            kind, (index, _task) = worker.get()
-            assert kind == protocol.TASK and index == 1   # not task 0 again
+            kind, [(index, _task)] = worker.get()
+            assert kind == protocol.TASKS and index == 1   # not task 0 again
             assert worker.send_result(1, result="r1") is True
             assert second.join(timeout=2.0)
             assert [r for r, _ in second.results()] == ["r0", "r1"]
@@ -188,7 +185,7 @@ class TestBrokerJournalReplay:
         try:
             worker = _ScriptedWorker(first, "doomed")
             kind, _payload = worker.get()
-            assert kind == protocol.TASK     # lease held, never delivered
+            assert kind == protocol.TASKS     # lease held, never delivered
         finally:
             first.close()
         replay = SweepJournal(path).load()
@@ -197,8 +194,8 @@ class TestBrokerJournalReplay:
         try:
             assert second.stats_snapshot()["tasks"]["queued"] == 1
             survivor = _ScriptedWorker(second, "survivor")
-            kind, (index, _task) = survivor.get()
-            assert kind == protocol.TASK and index == 0
+            kind, [(index, _task)] = survivor.get()
+            assert kind == protocol.TASKS and index == 0
             survivor.send_result(0)
             assert second.join(timeout=2.0)
             survivor.close()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.api import run as run_experiment
 from repro.core.designs import make_design
 from repro.experiments.execution_time import (
     PAPER_EXECUTION_TIMES,
@@ -22,9 +23,15 @@ from repro.experiments.training_curve import (
     TrainingCurveExperiment,
     stability_classification,
 )
-from repro.rl.recording import EpisodeRecord, TrainingCurve, TrainingResult
-from repro.rl.runner import TrainingConfig, evaluate_agent, train_agent
+from repro.rl import evaluate_agent
 from repro.rl.schedule import ConstantSchedule, ExponentialDecaySchedule, LinearSchedule
+from repro.training import (
+    EpisodeRecord,
+    Trainer,
+    TrainingConfig,
+    TrainingCurve,
+    TrainingResult,
+)
 from repro.utils.timer import TimeBreakdown
 
 
@@ -86,7 +93,7 @@ class TestRunner:
     def test_train_agent_returns_result(self):
         agent = make_design("OS-ELM-L2", n_hidden=16, seed=1)
         config = TrainingConfig(max_episodes=12, solved_threshold=500.0, seed=1)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         assert result.episodes == 12
         assert not result.solved
         assert len(result.curve) == 12
@@ -98,38 +105,38 @@ class TestRunner:
         # A trivially low threshold is reached as soon as the window fills.
         agent = make_design("OS-ELM-L2", n_hidden=8, seed=0)
         config = TrainingConfig(max_episodes=200, solved_threshold=2.0, solved_window=5, seed=0)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         assert result.solved
         assert result.episodes_to_solve == result.episodes < 200
 
     def test_train_agent_dqn(self):
         agent = make_design("DQN", n_hidden=16, seed=0, min_replay_size=32)
         config = TrainingConfig(max_episodes=6, seed=0)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         assert result.design == "DQN"
         assert result.breakdown.counts.get("predict_1", 0) > 0
 
     def test_train_agent_accepts_env_instance(self, cartpole_env):
         agent = make_design("OS-ELM", n_hidden=8, seed=0)
-        result = train_agent(agent, cartpole_env, config=TrainingConfig(max_episodes=3, seed=0))
+        result = Trainer().fit(agent, cartpole_env, config=TrainingConfig(max_episodes=3, seed=0))
         assert result.episodes == 3
 
     def test_reward_shaping_bounds(self):
         """With shaping on, every shaped return lies in [-1, +1]."""
         agent = make_design("OS-ELM-L2", n_hidden=8, seed=0)
         config = TrainingConfig(max_episodes=10, reward_shaping=True, seed=0)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         assert all(-1.0 <= r.shaped_return <= 1.0 for r in result.curve.records)
 
     def test_record_lipschitz_option(self):
         agent = make_design("OS-ELM-L2", n_hidden=8, seed=0)
         config = TrainingConfig(max_episodes=5, record_lipschitz=True, seed=0)
-        result = train_agent(agent, config=config)
+        result = Trainer().fit(agent, config=config)
         assert np.isfinite(result.curve.lipschitz_bounds[-1])
 
     def test_evaluate_agent(self):
         agent = make_design("OS-ELM-L2", n_hidden=8, seed=0)
-        train_agent(agent, config=TrainingConfig(max_episodes=5, seed=0))
+        Trainer().fit(agent, config=TrainingConfig(max_episodes=5, seed=0))
         lengths = evaluate_agent(agent, n_episodes=3, config=TrainingConfig(seed=1))
         assert lengths.shape == (3,)
         assert np.all(lengths >= 1)
@@ -197,7 +204,8 @@ class TestTrainingCurveExperiment:
     def test_ci_scale_run(self):
         experiment = TrainingCurveExperiment.ci_scale(
             designs=("OS-ELM-L2",), hidden_sizes=(16,), max_episodes=8)
-        collected = experiment.run()
+        report = run_experiment(experiment.to_spec(), backend="serial")
+        collected = report.to_training_curve_result()
         assert ("OS-ELM-L2", 16) in collected.results
         rows = collected.summary_rows()
         assert rows[0]["episodes"] <= 8
@@ -237,7 +245,8 @@ class TestExecutionTimeExperiment:
     def test_ci_scale_run_and_speedups(self):
         experiment = ExecutionTimeExperiment.ci_scale(
             designs=("OS-ELM-L2", "DQN", "FPGA"), hidden_sizes=(16,), max_episodes=6)
-        result = experiment.run()
+        report = run_experiment(experiment.to_spec(), backend="serial")
+        result = report.to_execution_time_result(platform=experiment.platform)
         assert isinstance(result, ExecutionTimeResult)
         for design in ("OS-ELM-L2", "DQN", "FPGA"):
             timing = result.get(design, 16)
@@ -256,7 +265,8 @@ class TestExecutionTimeExperiment:
     def test_breakdown_rows(self):
         experiment = ExecutionTimeExperiment.ci_scale(designs=("FPGA",), hidden_sizes=(16,),
                                                       max_episodes=4)
-        result = experiment.run()
+        report = run_experiment(experiment.to_spec(), backend="serial")
+        result = report.to_execution_time_result(platform=experiment.platform)
         rows = result.breakdown_rows("FPGA", 16)
         assert sum(row["fraction"] for row in rows) == pytest.approx(1.0, abs=0.01)
         fig6 = fpga_breakdown_rows(result, hidden_sizes=(16,))

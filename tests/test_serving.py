@@ -18,6 +18,7 @@ import threading
 import numpy as np
 import pytest
 
+import repro
 from repro import Trainer, TrainingConfig, make_design
 from repro.distributed import protocol
 from repro.distributed.broker import SweepBroker
@@ -142,10 +143,7 @@ class _RawClient:
         host, port = server.address
         self.sock = socket.create_connection((host, port), timeout=5.0)
         if handshake:
-            protocol.send_message(self.sock, protocol.HELLO, client_id)
-            kind, info = protocol.recv_message(self.sock)
-            assert kind == protocol.WELCOME
-            self.welcome_info = info
+            self.welcome_info = protocol.hello(self.sock, client_id)
 
     def send(self, kind, payload=None):
         protocol.send_message(self.sock, kind, payload)
@@ -443,7 +441,8 @@ class TestFrameSizeGuard:
         with SweepBroker(spec.tasks(), max_frame_bytes=256) as broker:
             host, port = broker.address
             hostile = socket.create_connection((host, port), timeout=5.0)
-            protocol.send_message(hostile, protocol.HELLO, "x" * 4096)
+            protocol.send_message(hostile, protocol.HELLO,
+                                  {"id": "x" * 4096, "version": repro.__version__})
             hostile.settimeout(5.0)
             try:
                 assert hostile.recv(1) == b""
@@ -452,7 +451,5 @@ class TestFrameSizeGuard:
             hostile.close()
             # A well-behaved worker still registers afterwards.
             polite = socket.create_connection((host, port), timeout=5.0)
-            protocol.send_message(polite, protocol.HELLO, "polite")
-            kind, info = protocol.recv_message(polite)
-            assert kind == protocol.WELCOME and info["tasks"] == 1
+            assert protocol.hello(polite, "polite")["tasks"] == 1
             polite.close()
