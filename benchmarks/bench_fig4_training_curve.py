@@ -12,37 +12,36 @@ qualitative relationships the paper reports:
   Section 3.3).
 
 The full Figure 4 protocol (six designs x four hidden sizes x 50,000-episode
-budget) is available via ``TrainingCurveExperiment.paper_scale()`` and the
-``examples/figure4_training_curves.py`` script.
+budget) is the registered ``figure4`` paper-scale spec (``repro run figure4``)
+and the ``examples/figure4_training_curves.py`` script.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.api import run as run_experiment
-from repro.experiments.training_curve import TrainingCurveExperiment
-from repro.training import TrainingConfig
+from repro.api import get_spec, run as run_experiment
 
 #: Designs exercised at CI scale (one per family keeps the runtime minutes-scale).
 CI_DESIGNS = ("OS-ELM", "OS-ELM-L2", "DQN")
 CI_EPISODES = 120
 
 
+def _spec(designs, n_hidden: int, *, seed: int, **budget):
+    spec = get_spec("figure4", scale="paper").with_grid(
+        designs=designs, hidden_sizes=(n_hidden,)).with_budget(**budget)
+    return dataclasses.replace(spec, seed=seed)
+
+
 def _run_experiment(n_hidden: int):
-    experiment = TrainingCurveExperiment(
-        designs=CI_DESIGNS,
-        hidden_sizes=(n_hidden,),
-        training=TrainingConfig(max_episodes=CI_EPISODES, solved_threshold=100.0,
-                                solved_window=25),
-        seed=6,
-    )
-    return _collect(experiment)
+    return _collect(_spec(CI_DESIGNS, n_hidden, seed=6, max_episodes=CI_EPISODES,
+                          solved_threshold=100.0, solved_window=25))
 
 
-def _collect(experiment):
-    report = run_experiment(experiment.to_spec(), backend="serial")
-    return report.to_training_curve_result()
+def _collect(spec):
+    return run_experiment(spec, backend="serial").to_training_curve_result()
 
 
 @pytest.mark.benchmark(group="figure4", min_rounds=1, max_time=1.0)
@@ -69,13 +68,9 @@ def test_figure4_training_curves_32_units(benchmark, ci_hidden_sizes):
 @pytest.mark.benchmark(group="figure4", min_rounds=1, max_time=1.0)
 def test_figure4_curve_series_shape(benchmark):
     """The per-episode series behind one Figure 4 panel line."""
-    experiment = TrainingCurveExperiment(
-        designs=("OS-ELM-L2",),
-        hidden_sizes=(32,),
-        training=TrainingConfig(max_episodes=60, solved_threshold=100.0, solved_window=20),
-        seed=3,
-    )
-    collected = benchmark.pedantic(_collect, args=(experiment,), rounds=1, iterations=1)
+    spec = _spec(("OS-ELM-L2",), 32, seed=3, max_episodes=60, solved_threshold=100.0,
+                 solved_window=20)
+    collected = benchmark.pedantic(_collect, args=(spec,), rounds=1, iterations=1)
     series = collected.curve_series("OS-ELM-L2", 32)
     assert set(series) == {"episodes", "steps", "moving_average"}
     assert len(series["episodes"]) == len(series["steps"]) == len(series["moving_average"])

@@ -10,29 +10,24 @@ OS-ELM designs and train_DQN dominating the baseline.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.api import run as run_experiment
-from repro.experiments.execution_time import (
-    PAPER_SPEEDUPS,
-    ExecutionTimeExperiment,
-)
+from repro.api import get_spec, run as run_experiment
+from repro.experiments.execution_time import PAPER_SPEEDUPS
 from repro.experiments.reporting import format_table
 from repro.fpga.platform import PynqZ1Platform
-from repro.training import TrainingConfig
 
 CI_DESIGNS = ("OS-ELM-L2", "OS-ELM-L2-Lipschitz", "DQN", "FPGA")
 
 
 def _run_experiment(n_hidden: int):
-    experiment = ExecutionTimeExperiment(
-        designs=CI_DESIGNS,
-        hidden_sizes=(n_hidden,),
-        training=TrainingConfig(max_episodes=80, solved_threshold=100.0, solved_window=25),
-        seed=11,
-    )
-    report = run_experiment(experiment.to_spec(), backend="serial")
-    return report.to_execution_time_result(platform=experiment.platform)
+    spec = get_spec("figure5", scale="paper").with_grid(
+        designs=CI_DESIGNS, hidden_sizes=(n_hidden,),
+    ).with_budget(max_episodes=80, solved_threshold=100.0, solved_window=25)
+    report = run_experiment(dataclasses.replace(spec, seed=11), backend="serial")
+    return report.to_execution_time_result(platform=PynqZ1Platform())
 
 
 @pytest.mark.benchmark(group="figure5", min_rounds=1, max_time=1.0)
@@ -46,11 +41,11 @@ def test_figure5_execution_time_32_units(benchmark, ci_hidden_sizes):
     fpga = result.get("FPGA", n_hidden)
     software = result.get("OS-ELM-L2-Lipschitz", n_hidden)
 
-    # Figure 5's ordering on the modelled platform: the proposed designs complete
+    # Figure 5's ordering on the modelled platform: the proposed designs run
     # the same workload faster than DQN, and the FPGA design is the fastest.
-    assert result.speedup_vs_dqn("OS-ELM-L2-Lipschitz", n_hidden) > 1.0
-    assert result.speedup_vs_dqn("FPGA", n_hidden) > result.speedup_vs_dqn(
-        "OS-ELM-L2-Lipschitz", n_hidden)
+    # (speedup_vs_dqn is only defined for pairs that both solved, which a
+    # CI-scale budget does not guarantee, so the ordering is asserted on the
+    # modelled totals.)
     assert fpga.modelled_total < software.modelled_total < dqn.modelled_total
 
     # Bottleneck attribution reported in Section 4.4.

@@ -9,24 +9,22 @@ with the hidden-layer size.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
-from repro.api import run as run_experiment
-from repro.experiments.execution_time import ExecutionTimeExperiment, fpga_breakdown_rows
+from repro.api import get_spec, run as run_experiment
+from repro.experiments.execution_time import fpga_breakdown_rows
 from repro.experiments.reporting import format_table
 from repro.fpga.platform import PynqZ1Platform
-from repro.training import TrainingConfig
 
 
 def _run(hidden_sizes):
-    experiment = ExecutionTimeExperiment(
-        designs=("FPGA",),
-        hidden_sizes=hidden_sizes,
-        training=TrainingConfig(max_episodes=50, solved_threshold=100.0, solved_window=20),
-        seed=21,
-    )
-    report = run_experiment(experiment.to_spec(), backend="serial")
-    return report.to_execution_time_result(platform=experiment.platform)
+    spec = get_spec("figure5", scale="paper").with_grid(
+        designs=("FPGA",), hidden_sizes=hidden_sizes,
+    ).with_budget(max_episodes=50, solved_threshold=100.0, solved_window=20)
+    report = run_experiment(dataclasses.replace(spec, seed=21), backend="serial")
+    return report.to_execution_time_result(platform=PynqZ1Platform())
 
 
 @pytest.mark.benchmark(group="figure6", min_rounds=1, max_time=1.0)

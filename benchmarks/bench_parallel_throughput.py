@@ -12,11 +12,9 @@ Measures, on identical multi-seed CartPole workloads:
 4. (full mode) ``SweepRunner(backend="process")`` — process-pool fan-out,
    which only wins with more physical cores than trials.
 
-It additionally measures the :class:`~repro.parallel.AsyncVectorEnv`
-overlap win (double-buffered step/update pipeline vs the synchronous
-subprocess loop under an identical synthetic agent-update load) and
-cross-checks that ``SyncVectorEnv`` and ``SubprocVectorEnv`` produce
-identical trajectories under identical seeds, so every speedup is a
+It additionally measures ``SubprocVectorEnv(steps_per_message=k)`` pipe
+batching and cross-checks that ``SyncVectorEnv`` and ``SubprocVectorEnv``
+produce identical trajectories under identical seeds, so every speedup is a
 throughput statement, not a semantics change.
 
 Run directly (the suite's pytest collection ignores ``bench_*`` files)::
@@ -46,13 +44,11 @@ import numpy as np
 
 from repro.experiments.reporting import format_table
 from repro.parallel import (
-    AsyncVectorEnv,
     EnvFactory,
     SubprocVectorEnv,
     SweepRunner,
     SweepSpec,
     SyncVectorEnv,
-    pipelined_rollout,
 )
 from repro.training import Trainer, TrainingConfig
 
@@ -119,72 +115,6 @@ def bench_subproc_batching(num_envs: int = 2, messages: int = 200,
             "seconds": round(seconds, 3),
             "env_steps_per_sec": round(rate),
             "speedup": round(rate / base_rate, 2),
-        })
-    return rows
-
-
-def bench_async_overlap(num_envs: int = 2, rounds: int = 150,
-                        update_flops_dim: int = 96, seed: int = 55) -> list:
-    """steps/sec of sync-vs-async subprocess stepping under an update load.
-
-    Both paths drive the same number of env steps and perform one synthetic
-    agent update (a ``dim x dim`` matmul) per round; the async path launches
-    the next env step *before* running the update, so the workers integrate
-    while the parent multiplies — the overlap the ROADMAP's async item asks
-    for.  The reported speedup is bounded by
-    ``min(step_time, update_time) / total_time``, grows with env cost, and —
-    like every speedup in this file — is machine-dependent: on a single-core
-    box the parent and workers serialize on the hardware and the ratio sits
-    near 1.0, so it is reported, not asserted.
-    """
-    rng = np.random.default_rng(seed)
-    weights = rng.standard_normal((update_flops_dim, update_flops_dim))
-
-    def synthetic_update(*_ignored) -> None:
-        nonlocal weights
-        weights = np.tanh(weights @ weights) * 0.5
-
-    rows = []
-    sync_rate = None
-    for mode in ("subproc-sync", "async-pipelined"):
-        env_fns = [EnvFactory("CartPole-v0", seed=seed + i)
-                   for i in range(num_envs)]
-        if mode == "subproc-sync":
-            venv = SubprocVectorEnv(env_fns)
-        else:
-            venv = AsyncVectorEnv(env_fns)
-        try:
-            action_rng = np.random.default_rng(seed)
-
-            def policy(observations):
-                return action_rng.integers(0, 2, size=len(observations))
-
-            start = time.perf_counter()
-            if mode == "subproc-sync":
-                observations, _ = venv.reset(seed=seed)
-                env_steps = 0
-                for _ in range(rounds):
-                    result = venv.step(policy(observations))
-                    synthetic_update(observations, None, result)
-                    observations = result.observations
-                    env_steps += sum(info.get("frames", 1)
-                                     for info in result.infos)
-            else:
-                stats = pipelined_rollout(venv, policy, rounds,
-                                          update=synthetic_update, seed=seed)
-                env_steps = int(stats["env_steps"])
-            seconds = time.perf_counter() - start
-        finally:
-            venv.close()
-        rate = env_steps / seconds
-        if sync_rate is None:
-            sync_rate = rate
-        rows.append({
-            "engine": mode,
-            "env_steps": env_steps,
-            "seconds": round(seconds, 3),
-            "env_steps_per_sec": round(rate),
-            "speedup": round(rate / sync_rate, 2),
         })
     return rows
 
@@ -285,15 +215,6 @@ def bench(args: argparse.Namespace) -> int:
     print(format_table(batching_rows,
                        title="SubprocVectorEnv: env steps batched per pipe message"))
 
-    async_rows = bench_async_overlap(rounds=100 if args.smoke else 400)
-    print()
-    print(format_table(async_rows,
-                       title="AsyncVectorEnv: step/update overlap vs sync subproc"))
-    # Keyed distinctly from the sweep backends: the async number measures a
-    # random-policy rollout under a synthetic update load, not a training
-    # sweep, so it must not be read as like-for-like with the rows above.
-    backend_rates["async_rollout"] = float(async_rows[-1]["env_steps_per_sec"])
-
     autoscale_rows, autoscale_rates, autoscale_identical = \
         bench_autoscale_lockstep(episodes=4 if args.smoke else 10)
     backend_rates.update(autoscale_rates)
@@ -328,7 +249,6 @@ def bench(args: argparse.Namespace) -> int:
             "steps_per_sec": {name: round(rate, 1)
                               for name, rate in sorted(backend_rates.items())},
             "subproc_batching": batching_rows,
-            "async_overlap": async_rows,
             "autoscale_lockstep": autoscale_rows,
             "autoscale_serial_vectorized_identical": autoscale_identical,
             "sync_subproc_identical": identical,

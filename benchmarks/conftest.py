@@ -3,8 +3,8 @@
 Each benchmark module regenerates one of the paper's tables or figures (see
 DESIGN.md's per-experiment index).  The training-based benchmarks run with
 CI-scale budgets so the whole suite finishes in minutes; the paper-scale
-protocol is available through the experiment classes' ``paper_scale()``
-constructors and the examples.
+protocol is the registered specs' ``paper`` scale (``repro run figure4``)
+and the examples.
 """
 
 from __future__ import annotations

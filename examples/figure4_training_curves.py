@@ -18,13 +18,13 @@ Run something closer to the paper (expect hours):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 from pathlib import Path
 
-from repro.api import run as run_experiment
+from repro.api import get_spec, run as run_experiment
 from repro.core.designs import SOFTWARE_DESIGNS
 from repro.experiments.reporting import rows_to_csv
-from repro.experiments.training_curve import TrainingCurveExperiment, stability_classification
-from repro.training import TrainingConfig
+from repro.experiments.training_curve import stability_classification
 
 
 def main() -> None:
@@ -41,15 +41,12 @@ def main() -> None:
     parser.add_argument("--output-dir", type=Path, default=Path("results/figure4"))
     args = parser.parse_args()
 
-    experiment = TrainingCurveExperiment(
-        designs=tuple(args.designs),
-        hidden_sizes=tuple(args.hidden),
-        training=TrainingConfig(max_episodes=args.episodes,
-                                solved_threshold=args.threshold,
-                                solved_window=args.window),
-        seed=args.seed,
-    )
-    collected = run_experiment(experiment.to_spec()).to_training_curve_result()
+    spec = get_spec("figure4", scale="paper").with_grid(
+        designs=args.designs, hidden_sizes=args.hidden,
+    ).with_budget(max_episodes=args.episodes, solved_threshold=args.threshold,
+                  solved_window=args.window)
+    spec = dataclasses.replace(spec, seed=args.seed)
+    collected = run_experiment(spec).to_training_curve_result()
 
     print()
     print(collected.render())

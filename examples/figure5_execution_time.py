@@ -21,18 +21,18 @@ Closer to the paper (expect hours):
 from __future__ import annotations
 
 import argparse
+import dataclasses
 
-from repro.api import run as run_experiment
+from repro.api import get_spec, run as run_experiment
 from repro.core.designs import DESIGN_NAMES
 from repro.experiments.execution_time import (
     PAPER_EXECUTION_TIMES,
     PAPER_SPEEDUPS,
-    ExecutionTimeExperiment,
     fpga_breakdown_rows,
 )
 from repro.experiments.reporting import format_table
 from repro.experiments.resource_table import render_table3
-from repro.training import TrainingConfig
+from repro.fpga.platform import PynqZ1Platform
 
 
 def main() -> None:
@@ -50,16 +50,12 @@ def main() -> None:
     print(render_table3())
     print()
 
-    experiment = ExecutionTimeExperiment(
-        designs=tuple(args.designs),
-        hidden_sizes=tuple(args.hidden),
-        training=TrainingConfig(max_episodes=args.episodes,
-                                solved_threshold=args.threshold,
-                                solved_window=args.window),
-        seed=args.seed,
-    )
-    result = run_experiment(experiment.to_spec()).to_execution_time_result(
-        platform=experiment.platform)
+    spec = get_spec("figure5", scale="paper").with_grid(
+        designs=args.designs, hidden_sizes=args.hidden,
+    ).with_budget(max_episodes=args.episodes, solved_threshold=args.threshold,
+                  solved_window=args.window)
+    spec = dataclasses.replace(spec, seed=args.seed)
+    result = run_experiment(spec).to_execution_time_result(platform=PynqZ1Platform())
 
     print(result.render())
     print()

@@ -64,7 +64,6 @@ from repro.training import (
     TrainingResult,
 )
 from repro.parallel import (
-    AsyncVectorEnv,
     SubprocVectorEnv,
     SweepResult,
     SweepRunner,
@@ -72,7 +71,6 @@ from repro.parallel import (
     SyncVectorEnv,
     evaluate_agent_vectorized,
     make_vector,
-    pipelined_rollout,
 )
 from repro.distributed import SweepBroker, run_distributed_sweep, run_worker
 from repro import telemetry
@@ -126,7 +124,6 @@ __all__ = [
     "MetricsRecorder",
     "ProgressCallback",
     "Trainer",
-    "AsyncVectorEnv",
     "SubprocVectorEnv",
     "SweepBroker",
     "SweepResult",
@@ -135,7 +132,6 @@ __all__ = [
     "SyncVectorEnv",
     "evaluate_agent_vectorized",
     "make_vector",
-    "pipelined_rollout",
     "run_distributed_sweep",
     "run_worker",
     "MicroBatcher",

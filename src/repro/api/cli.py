@@ -55,8 +55,8 @@ Subcommands
     unreadable store, missing policy) exits 2 with one aggregated
     preflight error.
 
-The summary table printed by ``run``/``report`` is identical to what the
-legacy harnesses rendered, and ``--csv`` writes the same rows as CSV — the
+The summary table printed by ``run``/``report`` is the paper's Figure 4/5
+table, and ``--csv`` writes the same rows as CSV — the
 CI workflow diffs those files across backends to guard backend equivalence.
 """
 

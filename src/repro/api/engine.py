@@ -1,16 +1,16 @@
 """The one front door: ``run(spec_or_name)`` executes any experiment spec.
 
 Every trial — serial, vectorized or process-pooled — goes through
-:class:`~repro.parallel.sweep.SweepRunner`, so the four bespoke launch paths
-of the legacy harnesses collapse into one engine with interchangeable
-backends.  On top of that single code path the engine adds:
+:class:`~repro.parallel.sweep.SweepRunner`: one engine with interchangeable
+backends, and the only way the library runs an experiment.  On top of that
+single code path the engine adds:
 
 * **registry resolution** — pass ``"figure4"`` instead of building a spec;
 * **artifact-store caching** — with a store attached, finished trials are
   content-addressed on disk and later runs of the same (or an overlapping)
   spec complete from cache instead of retraining;
-* **uniform reporting** — the returned :class:`RunReport` renders the same
-  tables/CSVs the legacy harnesses printed.
+* **uniform reporting** — the returned :class:`RunReport` renders the
+  paper's Figure 4/5 tables and their CSVs.
 
 Library calls default to ``store=None`` (pure, no disk writes); the CLI
 attaches a store so ``repro run`` resumes for free.

@@ -1,12 +1,11 @@
-"""Report adapters: engine output -> the tables/CSVs the harnesses printed.
+"""Report adapters: engine output -> the paper's summary tables and CSVs.
 
 The engine hands back raw per-trial :class:`~repro.training.records.TrainingResult`
 objects; everything presentational lives here.  For the paper deliverables
-the adapters reuse the legacy result containers
+the adapters collect trials into the result containers
 (:class:`~repro.experiments.training_curve.TrainingCurveResult`,
-:class:`~repro.experiments.execution_time.ExecutionTimeResult`) so
-``repro run figure4`` renders the same summary tables the historical
-harness printed.
+:class:`~repro.experiments.execution_time.ExecutionTimeResult`), which
+render the Figure 4/5 summary tables.
 
 Execution-time projection happens here, not in the engine: cached trial
 artifacts store platform-independent operation *counts*, and the PYNQ-Z1
@@ -28,13 +27,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 def _is_simple(report: "RunReport") -> bool:
-    """One trial per (design, hidden size): the legacy containers' key space."""
+    """One trial per (design, hidden size): the result containers' key space."""
     spec = report.spec
     return spec.n_seeds == 1 and len(spec.env_ids) == 1
 
 
 def training_curve_result(report: "RunReport") -> "TrainingCurveResult":
-    """Collect a training-curve run into the legacy Figure 4 container."""
+    """Collect a training-curve run into the Figure 4 container."""
     from repro.experiments.training_curve import TrainingCurveResult
 
     if not _is_simple(report):
@@ -51,7 +50,7 @@ def training_curve_result(report: "RunReport") -> "TrainingCurveResult":
 def execution_time_result(report: "RunReport", *,
                           platform: Optional["PynqZ1Platform"] = None
                           ) -> "ExecutionTimeResult":
-    """Project a run's operation counts into the legacy Figure 5 container."""
+    """Project a run's operation counts into the Figure 5 container."""
     from repro.experiments.execution_time import ExecutionTimeResult, project_timing
     from repro.fpga.platform import PynqZ1Platform
 
@@ -70,11 +69,11 @@ def execution_time_result(report: "RunReport", *,
 def summary_rows(report: "RunReport", *,
                  platform: Optional["PynqZ1Platform"] = None
                  ) -> List[Dict[str, object]]:
-    """The run's summary table as dict rows (CSV-able, legacy-identical).
+    """The run's summary table as dict rows (CSV-able).
 
-    For single-seed single-env runs of the paper kinds these are exactly the
-    rows the legacy harnesses produced; multi-seed/multi-env runs get the
-    same columns plus ``env_id`` and ``trial``.
+    For single-seed single-env runs of the paper kinds these are the result
+    containers' rows; multi-seed/multi-env runs get the same columns plus
+    ``env_id`` and ``trial``.
     """
     spec = report.spec
     if spec.kind == "resource_table":
@@ -90,7 +89,7 @@ def summary_rows(report: "RunReport", *,
 
 def render(report: "RunReport", *,
            platform: Optional["PynqZ1Platform"] = None) -> str:
-    """Aligned text table of the run summary (legacy titles for paper kinds)."""
+    """Aligned text table of the run summary (Figure 4/5 titles for paper kinds)."""
     spec = report.spec
     if spec.kind == "resource_table":
         from repro.experiments.resource_table import render_table3

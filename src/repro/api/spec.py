@@ -9,17 +9,17 @@ content-addressable (:attr:`ExperimentSpec.spec_hash`), which is what makes
 the artifact store's resume/caching work: the same spec always names the
 same trials.
 
-Seed derivation is part of the spec so that the declarative path reproduces
-the legacy harnesses bit-for-bit: a trial's seed is ::
+Seed derivation is part of the spec, and :meth:`ExperimentSpec.trial_seed`
+is its only implementation: a trial's seed is ::
 
     seed + 1000*trial + seed_stride*n_hidden
          + stable_hash(design) % seed_mod + 104729*env_index
 
-With ``seed_stride=17, seed_mod=997`` (the ``figure4`` registry defaults)
-this is exactly the formula ``TrainingCurveExperiment.run_single`` has
-always used; ``figure5`` uses ``13 / 991``.  The env term is zero for the
-first environment, so single-env specs match the legacy CartPole-only
-harnesses while multi-env specs still get distinct streams per environment.
+``figure4`` uses ``seed_stride=17, seed_mod=997`` (the field defaults) and
+``figure5`` uses ``13 / 991`` — the seeds the Figure 4/5 experiments have
+always trained on.  The env term is zero for the first environment, so
+single-env specs keep those historical CartPole seeds while multi-env specs
+still get distinct streams per environment.
 """
 
 from __future__ import annotations

@@ -358,8 +358,6 @@ class SweepBroker:
                 try:
                     worker_id = self._handshake(connection)
                     is_observer = worker_id.startswith(protocol.OBSERVER_PREFIX)
-                    if not is_observer:
-                        self._register(worker_id)
                     while not self._closing.is_set():
                         kind, payload = protocol.recv_message(
                             connection, max_frame_bytes=self.max_frame_bytes)
@@ -381,7 +379,11 @@ class SweepBroker:
             self._finish_drain(worker_id, requeued)
 
     def _handshake(self, connection: socket.socket) -> str:
-        """Answer the opening ``HELLO``; anything else is refused with ``ERROR``."""
+        """Answer the opening ``HELLO``; anything else is refused with ``ERROR``.
+
+        A worker is registered before its ``WELCOME`` goes out, so a peer
+        holding a ``WELCOME`` is already in the broker's accounting.
+        """
         kind, payload = protocol.recv_message(
             connection, max_frame_bytes=self.max_frame_bytes)
         try:
@@ -391,6 +393,8 @@ class SweepBroker:
         except protocol.ProtocolError as error:
             protocol.send_message(connection, protocol.ERROR, str(error))
             raise
+        if not worker_id.startswith(protocol.OBSERVER_PREFIX):
+            self._register(worker_id)
         protocol.send_message(connection, protocol.WELCOME,
                               protocol.welcome_info(tasks=len(self.tasks)))
         return worker_id

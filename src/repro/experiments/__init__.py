@@ -1,14 +1,11 @@
-"""Experiment harnesses that regenerate the paper's tables and figures.
+"""Result containers and rendering for the paper's tables and figures.
 
-The harness classes are views over the unified experiment API
-(:mod:`repro.api`): their ``ci_scale``/``paper_scale`` constructors resolve
-registered specs (``figure4``, ``figure5``) and ``to_spec()`` hands the
-grid back to the one engine — run it with
-``repro.api.run(experiment.to_spec())`` or ``python -m repro run``.
-
-Each harness returns plain data structures (lists of dict rows, NumPy
-arrays) and can render them as aligned text tables, so the benchmarks and
-examples can print output directly comparable to the paper:
+The experiments themselves are the registered specs of :mod:`repro.api`
+(``figure4``, ``figure5``/``table2``, ``table3``); run them with
+``repro.api.run(get_spec(name, scale=...))`` or ``python -m repro run``.
+This package never trains anything: it collects finished trials into plain
+data structures (lists of dict rows, NumPy arrays) and renders them as
+aligned text tables directly comparable to the paper:
 
 * :mod:`repro.experiments.resource_table` — Table 3 (FPGA resource
   utilization of the OS-ELM Q-Network core).
@@ -25,12 +22,8 @@ from repro.experiments.resource_table import (
     compare_with_paper,
     resource_table,
 )
-from repro.experiments.training_curve import (
-    TrainingCurveExperiment,
-    TrainingCurveResult,
-)
+from repro.experiments.training_curve import TrainingCurveResult
 from repro.experiments.execution_time import (
-    ExecutionTimeExperiment,
     ExecutionTimeResult,
     PAPER_EXECUTION_TIMES,
     PAPER_SPEEDUPS,
@@ -41,9 +34,7 @@ __all__ = [
     "rows_to_csv",
     "compare_with_paper",
     "resource_table",
-    "TrainingCurveExperiment",
     "TrainingCurveResult",
-    "ExecutionTimeExperiment",
     "ExecutionTimeResult",
     "PAPER_EXECUTION_TIMES",
     "PAPER_SPEEDUPS",

@@ -19,27 +19,25 @@ The measured host wall-clock breakdown is also kept for reference, but the
 modelled times are what is comparable across designs because the host CPU is
 not a 650 MHz Cortex-A9.
 
-:class:`ExecutionTimeExperiment` is a view over the unified experiment API
-(the registered ``figure5``/``table2`` spec): run it with
-``repro.api.run(experiment.to_spec())`` and project the operation counts
-with ``report.to_execution_time_result(platform=...)``.
+The experiment itself is the registered ``figure5``/``table2`` spec: run
+it with ``repro.api.run(get_spec("figure5", scale="ci"|"paper"))`` and
+project the operation counts with
+``report.to_execution_time_result(platform=...)``.  This module only holds
+the result containers, the projection and the paper's reference numbers;
+it never trains anything.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.designs import DESIGN_NAMES, make_design
 from repro.experiments.reporting import format_table
 from repro.fpga.platform import PynqZ1Platform
-from repro.training.records import TrainingResult
-from repro.training import Trainer, TrainingConfig
-from repro.utils.logging import get_logger
-from repro.utils.seeding import stable_hash
 from repro.utils.timer import TimeBreakdown
 
-_LOGGER = get_logger("repro.experiments.execution_time")
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.training.records import TrainingResult
 
 #: Hidden-layer sizes of Figure 5.
 FIGURE5_HIDDEN_SIZES: Tuple[int, ...] = (32, 64, 128, 192)
@@ -66,9 +64,9 @@ PAPER_SPEEDUPS: Dict[int, Dict[str, float]] = {
 def project_timing(result: TrainingResult, platform: PynqZ1Platform) -> "DesignTiming":
     """Project a finished run's operation counts through a platform model.
 
-    The single projection implementation shared by the legacy harness and
-    the unified API's report adapters: trial artifacts store
-    platform-independent counts, and this turns them into modelled seconds.
+    The single projection behind the unified API's report adapters: trial
+    artifacts store platform-independent counts, and this turns them into
+    modelled seconds.
     """
     modelled = platform.project_breakdown(
         result.design, result.breakdown.counts, n_hidden=result.n_hidden,
@@ -118,17 +116,21 @@ class ExecutionTimeResult:
         return self.timings[(design, n_hidden)]
 
     def speedup_vs_dqn(self, design: str, n_hidden: int) -> Optional[float]:
-        """Modelled completion-time ratio DQN / design (None when either is missing)."""
-        key_dqn = ("DQN", n_hidden)
-        key = (design, n_hidden)
-        if key_dqn not in self.timings or key not in self.timings:
+        """Modelled time-to-complete ratio DQN / design.
+
+        A speed-up "to complete" exists only when both runs completed, so
+        this is None unless the design and DQN trials both solved (and
+        when either is missing).
+        """
+        dqn = self.timings.get(("DQN", n_hidden))
+        timing = self.timings.get((design, n_hidden))
+        if (dqn is None or timing is None or not (dqn.solved and timing.solved)
+                or timing.modelled_total <= 0):
             return None
-        denominator = self.timings[key].modelled_total
-        if denominator <= 0:
-            return None
-        return self.timings[key_dqn].modelled_total / denominator
+        return dqn.modelled_total / timing.modelled_total
 
     def summary_rows(self) -> List[Dict[str, object]]:
+        """One row per run; ``speedup_vs_DQN`` is empty unless both runs solved."""
         rows = []
         for (design, n_hidden), timing in sorted(self.timings.items(),
                                                  key=lambda kv: (kv[0][1], kv[0][0])):
@@ -161,110 +163,6 @@ class ExecutionTimeResult:
     def render(self) -> str:
         return format_table(self.summary_rows(),
                             title="Figure 5 summary: modelled execution time to complete")
-
-
-@dataclass(frozen=True)
-class ExecutionTimeExperiment:
-    """Configuration + runner for the Figure 5/6 experiment."""
-
-    designs: Sequence[str] = DESIGN_NAMES
-    hidden_sizes: Sequence[int] = FIGURE5_HIDDEN_SIZES
-    training: TrainingConfig = field(default_factory=lambda: TrainingConfig(max_episodes=300))
-    platform: PynqZ1Platform = field(default_factory=PynqZ1Platform)
-    seed: int = 7
-    gamma: float = 0.99
-
-    @staticmethod
-    def paper_scale() -> "ExecutionTimeExperiment":
-        """Full Section 4.4 protocol (50,000-episode cutoff).
-
-        Routed through the registered ``figure5`` paper-scale spec, so the
-        two scales differ only in declarative budget/grid fields.
-        """
-        from repro.api.registry import get_spec
-
-        return ExecutionTimeExperiment.from_spec(get_spec("figure5", scale="paper"))
-
-    @staticmethod
-    def ci_scale(designs: Sequence[str] = ("OS-ELM-L2-Lipschitz", "DQN", "FPGA"),
-                 hidden_sizes: Sequence[int] = (32,),
-                 max_episodes: int = 60) -> "ExecutionTimeExperiment":
-        """A minutes-scale configuration used by the benchmark suite.
-
-        The registered ``figure5`` CI spec with the grid/budget overrides
-        applied — the same code path as ``paper_scale()``.
-        """
-        from repro.api.registry import get_spec
-
-        spec = get_spec("figure5", scale="ci").with_grid(
-            designs=tuple(designs), hidden_sizes=tuple(hidden_sizes),
-        ).with_budget(max_episodes=max_episodes)
-        return ExecutionTimeExperiment.from_spec(spec)
-
-    # ------------------------------------------------------------------ spec bridge
-    @staticmethod
-    def from_spec(spec, platform: Optional[PynqZ1Platform] = None
-                  ) -> "ExecutionTimeExperiment":
-        """Build the legacy harness view of an execution-time spec."""
-        return ExecutionTimeExperiment(
-            designs=spec.designs,
-            hidden_sizes=spec.hidden_sizes,
-            training=spec.budget.training_config(env_id=spec.env_ids[0]),
-            platform=platform if platform is not None else PynqZ1Platform(),
-            seed=spec.seed,
-            gamma=spec.gamma,
-        )
-
-    def to_spec(self, name: str = "execution-time"):
-        """This configuration as a declarative :class:`~repro.api.ExperimentSpec`.
-
-        The platform model is *not* part of the spec: trials record
-        platform-independent operation counts, and the projection happens at
-        report time with whatever platform the caller supplies.  Note
-        ``record_lipschitz`` is dropped, exactly as ``run_single`` has
-        always done for this harness.
-        """
-        from repro.api.spec import Budget, ExperimentSpec
-        from dataclasses import replace as dc_replace
-
-        budget = dc_replace(Budget.from_training_config(self.training),
-                            record_lipschitz=False)
-        return ExperimentSpec(
-            name=name,
-            kind="execution_time",
-            designs=tuple(self.designs),
-            hidden_sizes=tuple(int(h) for h in self.hidden_sizes),
-            env_ids=(self.training.env_id,),
-            n_seeds=1,
-            seed=self.seed,
-            gamma=self.gamma,
-            budget=budget,
-            seed_stride=13,
-            seed_mod=991,
-        )
-
-    # ------------------------------------------------------------------ execution
-    def run_single(self, design: str, n_hidden: int, *, trial: int = 0) -> DesignTiming:
-        seed = self.seed + 1000 * trial + 13 * n_hidden + stable_hash(design) % 991
-        agent = make_design(design, n_hidden=n_hidden, gamma=self.gamma, seed=seed)
-        config = TrainingConfig(
-            env_id=self.training.env_id,
-            max_episodes=self.training.max_episodes,
-            max_steps_per_episode=self.training.max_steps_per_episode,
-            solved_threshold=self.training.solved_threshold,
-            solved_window=self.training.solved_window,
-            reward_shaping=self.training.reward_shaping,
-            success_steps=self.training.success_steps,
-            stop_when_solved=self.training.stop_when_solved,
-            seed=seed,
-        )
-        _LOGGER.info("timing run", design=design, n_hidden=n_hidden)
-        result = Trainer().fit(agent, config=config, n_hidden=n_hidden)
-        return self.project(result)
-
-    def project(self, result: TrainingResult) -> DesignTiming:
-        """Project a finished training run's operation counts through the platform model."""
-        return project_timing(result, self.platform)
 
 
 def fpga_breakdown_rows(result: ExecutionTimeResult,

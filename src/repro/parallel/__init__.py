@@ -3,12 +3,11 @@
 The subsystem has three layers (see the README for the architecture sketch
 and determinism guarantees):
 
-* **Vector envs** — :class:`SyncVectorEnv` / :class:`SubprocVectorEnv` /
-  :class:`AsyncVectorEnv` step N registry environments behind one stacked
-  ``reset()``/``step()`` interface with auto-reset (``Async`` adds the
-  ``step_async``/``step_wait`` split that overlaps env stepping with agent
-  compute); :func:`make_vector` builds any of them from a registered id
-  with ``spawn_seeds``-derived per-env seeds.
+* **Vector envs** — :class:`SyncVectorEnv` / :class:`SubprocVectorEnv`
+  step N registry environments behind one stacked ``reset()``/``step()``
+  interface with auto-reset (``SubprocVectorEnv(steps_per_message=k)``
+  batches k frame-skip steps per pipe message); :func:`make_vector` builds
+  either from a registered id with ``spawn_seeds``-derived per-env seeds.
 * **Lock-step training** — :meth:`repro.training.Trainer.fit_lockstep`
   advances N independent trials with batched agent math over a vector env
   (the single-core throughput path); :func:`supports_lockstep` says which
@@ -19,7 +18,6 @@ and determinism guarantees):
   and aggregates the streamed results into a :class:`SweepResult`.
 """
 
-from repro.parallel.async_env import AsyncVectorEnv, pipelined_rollout
 from repro.parallel.pool import parallel_map
 from repro.parallel.rollout import evaluate_agent_vectorized
 from repro.parallel.subproc import SubprocVectorEnv
@@ -34,7 +32,6 @@ from repro.parallel.vector_env import (
 from repro.training.strategies import supports_lockstep
 
 __all__ = [
-    "AsyncVectorEnv",
     "EnvFactory",
     "SubprocVectorEnv",
     "SweepResult",
@@ -47,6 +44,5 @@ __all__ = [
     "evaluate_agent_vectorized",
     "make_vector",
     "parallel_map",
-    "pipelined_rollout",
     "supports_lockstep",
 ]

@@ -419,10 +419,8 @@ def make_vector(env_id: str, num_envs: int, *, seed: Optional[int] = None,
         ``spawn_seeds(seed, num_envs)`` so the batch is reproducible and the
         per-env streams never overlap.
     vectorization:
-        ``"sync"`` (in-process lock-step), ``"subproc"`` (one worker
-        process per sub-env) or ``"async"`` (subproc workers with the
-        ``step_async``/``step_wait`` split of
-        :class:`~repro.parallel.async_env.AsyncVectorEnv`).
+        ``"sync"`` (in-process lock-step) or ``"subproc"`` (one worker
+        process per sub-env).
     kwargs:
         Forwarded to the environment constructor (e.g. ``max_episode_steps``).
     """
@@ -439,9 +437,5 @@ def make_vector(env_id: str, num_envs: int, *, seed: Optional[int] = None,
         from repro.parallel.subproc import SubprocVectorEnv
 
         return SubprocVectorEnv(env_fns)
-    if vectorization == "async":
-        from repro.parallel.async_env import AsyncVectorEnv
-
-        return AsyncVectorEnv(env_fns)
     raise ValueError(f"unknown vectorization {vectorization!r}; "
-                     "use 'sync', 'subproc' or 'async'")
+                     "use 'sync' or 'subproc'")

@@ -19,8 +19,7 @@ class TrainingConfig:
     steps with it (stopping early at episode end), the agent observing one
     aggregate transition.  The default of 1 is the paper's per-step protocol
     and is bit-for-bit identical to the historical loops; values > 1 pair
-    with ``SubprocVectorEnv(steps_per_message=k)`` /
-    :class:`~repro.parallel.async_env.AsyncVectorEnv` so heavyweight envs
+    with ``SubprocVectorEnv(steps_per_message=k)`` so heavyweight envs
     amortize one pipe round-trip over k physics steps inside a real
     training loop.
     """

@@ -10,7 +10,7 @@ agent implementing :class:`~repro.training.protocols.AgentProtocol`, with:
 * a typed :class:`~repro.training.callbacks.Callback` lifecycle
   (progress streaming, metric recording, mid-trial checkpointing),
 * ``action_repeat`` (frame-skip) stepping that pairs with
-  ``SubprocVectorEnv(steps_per_message=k)`` / ``AsyncVectorEnv``.
+  ``SubprocVectorEnv(steps_per_message=k)``.
 
 Two drivers share that one set of episode semantics:
 
@@ -381,7 +381,7 @@ class Trainer:
         if repeat > 1 and getattr(venv, "steps_per_message", 1) != repeat:
             raise ValueError(
                 "action_repeat > 1 on the lock-step driver needs a vector env "
-                "with matching frame skip (SubprocVectorEnv/AsyncVectorEnv "
+                "with matching frame skip (SubprocVectorEnv "
                 f"steps_per_message={repeat}); got "
                 f"{type(venv).__name__}(steps_per_message="
                 f"{getattr(venv, 'steps_per_message', 1)})")

@@ -1,7 +1,8 @@
-"""Tests for the engine, the report adapters, the CLI and shim equivalence."""
+"""Tests for the engine, the report adapters and the CLI."""
 
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -9,8 +10,7 @@ import pytest
 
 from repro.api import Budget, ExperimentSpec, get_spec, run
 from repro.api.cli import main
-from repro.experiments.execution_time import ExecutionTimeExperiment
-from repro.experiments.training_curve import TrainingCurveExperiment
+from repro.fpga.platform import PynqZ1Platform
 from repro.utils.serialization import save_json
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -75,49 +75,36 @@ class TestEngine:
 
 
 class TestShimEquivalence:
-    """The harness classes' specs reproduce their historical output."""
+    """The registered specs' reports agree with their result containers."""
 
     def test_training_curve_rows_pinned(self):
-        legacy = TrainingCurveExperiment.ci_scale(
-            designs=("OS-ELM-L2",), hidden_sizes=(16,), max_episodes=8)
-        spec = legacy.to_spec()
+        spec = get_spec("figure4", scale="ci").with_grid(
+            designs=("OS-ELM-L2",), hidden_sizes=(16,)).with_budget(max_episodes=8)
         report = run(spec, backend="serial")
         collected = report.to_training_curve_result()
         assert collected.summary_rows() == report.summary_rows()
         # And the engine's vectorized path agrees too (the CI guarantee).
         assert run(spec, backend="vectorized").summary_rows() == collected.summary_rows()
 
-    def test_training_curve_seeds_match_run_single(self):
-        """The spec path must train on exactly run_single's seeds."""
-        experiment = TrainingCurveExperiment.ci_scale(
-            designs=("OS-ELM-L2",), hidden_sizes=(16,), max_episodes=5)
-        direct = experiment.run_single("OS-ELM-L2", 16)
-        report = run(experiment.to_spec(), backend="serial")
-        assert report.trials[0].result.seed == direct.seed
-        np.testing.assert_array_equal(report.trials[0].result.curve.steps,
-                                      direct.curve.steps)
+    def test_trials_train_on_spec_trial_seeds(self):
+        """Each trial trains on the seed ExperimentSpec.trial_seed derives,
+        including after a caller overrides the root seed."""
+        spec = get_spec("figure4", scale="ci").with_grid(
+            designs=("OS-ELM-L2",), hidden_sizes=(16,)).with_budget(max_episodes=3)
+        reseeded = replace(spec, seed=spec.seed + 1)
+        for variant in (spec, reseeded):
+            report = run(variant, backend="serial")
+            assert report.trials[0].result.seed == variant.trial_seed("OS-ELM-L2", 16)
+        assert reseeded.trial_seed("OS-ELM-L2", 16) == spec.trial_seed("OS-ELM-L2", 16) + 1
 
     def test_execution_time_rows_pinned(self):
-        legacy = ExecutionTimeExperiment.ci_scale(
-            designs=("OS-ELM-L2", "FPGA"), hidden_sizes=(16,), max_episodes=4)
-        report = run(legacy.to_spec(), backend="serial")
-        result = report.to_execution_time_result(platform=legacy.platform)
+        spec = get_spec("figure5", scale="ci").with_grid(
+            designs=("OS-ELM-L2", "FPGA"), hidden_sizes=(16,)).with_budget(max_episodes=4)
+        report = run(spec, backend="serial")
+        result = report.to_execution_time_result(platform=PynqZ1Platform())
         assert result.summary_rows() == report.summary_rows()
         timing = report.to_execution_time_result().get("FPGA", 16)
         assert timing.modelled_total > 0
-
-    def test_scale_constructors_route_through_specs(self):
-        paper = TrainingCurveExperiment.paper_scale()
-        assert paper.training.max_episodes == 50_000
-        assert paper.training.solved_threshold == 195.0
-        ci = TrainingCurveExperiment.ci_scale()
-        assert ci.training.max_episodes == 60
-        assert ci.training.solved_threshold == 60.0
-        # ci and paper must differ only in declarative fields, sharing seeds.
-        assert ci.seed == paper.seed == 42
-        et_paper = ExecutionTimeExperiment.paper_scale()
-        assert et_paper.training.max_episodes == 50_000
-        assert et_paper.seed == ExecutionTimeExperiment.ci_scale().seed == 7
 
 
 class TestCLI:

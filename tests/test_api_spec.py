@@ -75,8 +75,8 @@ class TestExperimentSpec:
         assert base.spec_hash != base.with_grid(hidden_sizes=(32,)).spec_hash
 
     def test_trial_seed_matches_legacy_formula(self):
-        """The figure4 spec must derive exactly the seeds
-        TrainingCurveExperiment.run_single has always used."""
+        """The figure4/figure5 specs must derive exactly the seeds the
+        Figure 4/5 experiments have always trained on."""
         spec = get_spec("figure4", scale="paper")
         for design in spec.designs:
             for n_hidden in spec.hidden_sizes:
@@ -149,6 +149,17 @@ class TestRegistry:
         # Scales share the seed machinery; only declarative fields differ.
         assert (paper.seed, paper.seed_stride, paper.seed_mod) == \
             (ci.seed, ci.seed_stride, ci.seed_mod)
+
+    def test_figure5_variants(self):
+        paper = get_spec("figure5", scale="paper")
+        ci = get_spec("figure5", scale="ci")
+        assert paper.kind == ci.kind == "execution_time"
+        assert paper.budget.max_episodes == 50_000
+        assert paper.budget.solved_threshold == 195.0
+        assert ci.budget.max_episodes == 60
+        assert ci.budget.solved_threshold == 60.0
+        assert paper.seed == ci.seed == 7
+        assert get_spec("figure4", scale="ci").seed == 42
 
     def test_table2_aliases_figure5(self):
         assert get_entry("table2").alias_of == "figure5"

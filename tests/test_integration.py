@@ -10,10 +10,10 @@ import pytest
 
 import repro
 from repro import Trainer, TrainingConfig, evaluate_agent, make_design
+from repro.api import get_spec, run
 from repro.core.agents import AgentConfig, OSELMQAgent
 from repro.core.regularization import RegularizationConfig
 from repro.envs import make as make_env
-from repro.experiments.execution_time import ExecutionTimeExperiment
 from repro.fpga.platform import PynqZ1Platform
 
 
@@ -120,13 +120,16 @@ class TestFPGAPathIntegration:
                                          n_hidden=n_hidden).total()
         assert fpga < software < dqn
 
-    def test_execution_time_experiment_single_projection(self):
-        experiment = ExecutionTimeExperiment.ci_scale(designs=("FPGA",), hidden_sizes=(16,),
-                                                      max_episodes=4)
-        timing = experiment.run_single("FPGA", 16)
+    def test_figure5_spec_single_projection(self):
+        spec = get_spec("figure5", scale="ci").with_grid(
+            designs=("FPGA",), hidden_sizes=(16,)).with_budget(max_episodes=4)
+        result = run(spec, backend="serial").to_execution_time_result(
+            platform=PynqZ1Platform())
+        timing = result.get("FPGA", 16)
         assert timing.design == "FPGA"
         assert timing.modelled_total > 0
         assert timing.counts.get("seq_train", 0) >= 0
+
 
 
 class TestCustomConfigurations:

@@ -1,5 +1,7 @@
 """Tests for lock-step training, sweep orchestration and experiment wiring."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from repro.parallel import (
     parallel_map,
     supports_lockstep,
 )
+from repro.parallel.pool import default_max_workers
 from repro.training import Trainer, TrainingConfig
 
 
@@ -250,6 +253,14 @@ class TestParallelMap:
     def test_unknown_backend(self):
         with pytest.raises(ValueError):
             parallel_map(abs, [1], backend="thread")
+
+    def test_process_backend_keeps_submission_order(self):
+        assert parallel_map(abs, [-3, -1, -2], backend="process",
+                            max_workers=2) == [3, 1, 2]
+
+    def test_default_max_workers_bounds(self):
+        assert default_max_workers(1) == 1
+        assert 1 <= default_max_workers(10_000) <= (os.cpu_count() or 1)
 
     def test_callback_streams_completions(self):
         seen = []

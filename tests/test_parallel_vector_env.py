@@ -191,11 +191,26 @@ class TestMakeVector:
         b, _ = make_vector("CartPole-v0", 2, seed=5).reset()
         np.testing.assert_array_equal(a, b)
 
+    def test_builds_subproc_matching_sync(self):
+        with make_vector("CartPole-v0", 2, seed=5, vectorization="subproc") as venv:
+            assert isinstance(venv, SubprocVectorEnv) and venv.num_envs == 2
+            observations, _ = venv.reset()
+        expected, _ = make_vector("CartPole-v0", 2, seed=5).reset()
+        np.testing.assert_array_equal(observations, expected)
+
+    def test_forwards_env_kwargs(self):
+        venv = make_vector("CartPole-v0", 2, seed=5, max_episode_steps=2)
+        venv.reset()
+        venv.step(np.array([0, 0]))
+        result = venv.step(np.array([0, 0]))
+        assert result.truncated.all()
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             make_vector("CartPole-v0", 0)
-        with pytest.raises(ValueError):
-            make_vector("CartPole-v0", 2, vectorization="threads")
+        for vectorization in ("threads", "async"):
+            with pytest.raises(ValueError):
+                make_vector("CartPole-v0", 2, vectorization=vectorization)
         with pytest.raises(KeyError):
             make_vector("NoSuchEnv-v0", 2)
 
@@ -234,6 +249,33 @@ class TestSubprocVectorEnv:
                 assert "final_observation" in result.infos[i]
         finally:
             venv.close()
+
+    def test_requires_env_fns(self):
+        with pytest.raises(ValueError):
+            SubprocVectorEnv([])
+
+    def test_wrong_action_count_rejected(self):
+        with SubprocVectorEnv(_factories(2)) as venv:
+            venv.reset()
+            with pytest.raises(ValueError):
+                venv.step(np.array([0, 1, 0]))
+
+    def test_reset_mid_episode_matches_fresh_sync_reset(self):
+        fns = _factories(2, base_seed=300)
+        with SubprocVectorEnv(fns) as venv, SyncVectorEnv(fns) as reference:
+            venv.reset(seed=8)
+            for _ in range(5):
+                venv.step(np.array([1, 0]))
+            observations, _ = venv.reset(seed=8)
+            expected, _ = reference.reset(seed=8)
+        np.testing.assert_array_equal(observations, expected)
+
+    def test_context_manager_stops_workers(self):
+        with SubprocVectorEnv(_factories(2)) as venv:
+            venv.reset()
+            processes = list(venv._processes)
+            assert all(process.is_alive() for process in processes)
+        assert not any(process.is_alive() for process in processes)
 
     def test_closed_env_rejects_use(self):
         venv = SubprocVectorEnv(_factories(1))

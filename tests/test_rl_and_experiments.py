@@ -1,16 +1,17 @@
-"""Tests for the training runner, schedules, recording and experiment harnesses."""
+"""Tests for the training runner, schedules, recording and experiment reports."""
 
 import numpy as np
 import pytest
 
-from repro.api import run as run_experiment
+from repro.api import get_spec, run as run_experiment
 from repro.core.designs import make_design
 from repro.experiments.execution_time import (
     PAPER_EXECUTION_TIMES,
     PAPER_SPEEDUPS,
-    ExecutionTimeExperiment,
+    DesignTiming,
     ExecutionTimeResult,
     fpga_breakdown_rows,
+    project_timing,
 )
 from repro.experiments.reporting import (
     format_table,
@@ -19,10 +20,8 @@ from repro.experiments.reporting import (
     rows_to_csv,
 )
 from repro.experiments.resource_table import compare_with_paper, render_table3, resource_table
-from repro.experiments.training_curve import (
-    TrainingCurveExperiment,
-    stability_classification,
-)
+from repro.experiments.training_curve import TrainingCurveResult, stability_classification
+from repro.fpga.platform import PynqZ1Platform
 from repro.rl import evaluate_agent
 from repro.rl.schedule import ConstantSchedule, ExponentialDecaySchedule, LinearSchedule
 from repro.training import (
@@ -200,11 +199,11 @@ class TestResourceTableExperiment:
         assert all(row["relative_error"] <= 0.15 for row in bram_rows)
 
 
-class TestTrainingCurveExperiment:
+class TestFigure4Spec:
     def test_ci_scale_run(self):
-        experiment = TrainingCurveExperiment.ci_scale(
-            designs=("OS-ELM-L2",), hidden_sizes=(16,), max_episodes=8)
-        report = run_experiment(experiment.to_spec(), backend="serial")
+        spec = get_spec("figure4", scale="ci").with_grid(
+            designs=("OS-ELM-L2",), hidden_sizes=(16,)).with_budget(max_episodes=8)
+        report = run_experiment(spec, backend="serial")
         collected = report.to_training_curve_result()
         assert ("OS-ELM-L2", 16) in collected.results
         rows = collected.summary_rows()
@@ -213,10 +212,21 @@ class TestTrainingCurveExperiment:
         assert len(series["steps"]) == rows[0]["episodes"]
         assert "Figure 4" in collected.render()
 
+    def test_result_indexes_designs_and_sizes(self):
+        collected = TrainingCurveResult()
+        for design, n_hidden in (("DQN", 64), ("ELM", 32), ("DQN", 32)):
+            collected.add(TrainingResult(design, n_hidden, False, 3, None, 1.0,
+                                         TrainingCurve(), TimeBreakdown()))
+        assert collected.designs() == ["DQN", "ELM"]
+        assert collected.hidden_sizes() == [32, 64]
+        rows = collected.summary_rows()
+        assert [(row["n_hidden"], row["design"]) for row in rows] == \
+            [(32, "DQN"), (32, "ELM"), (64, "DQN")]
+
     def test_paper_scale_configuration(self):
-        experiment = TrainingCurveExperiment.paper_scale()
-        assert experiment.training.max_episodes == 50_000
-        assert experiment.training.solved_threshold == 195.0
+        budget = get_spec("figure4", scale="paper").budget
+        assert budget.max_episodes == 50_000
+        assert budget.solved_threshold == 195.0
 
     def test_stability_classification(self):
         solved = TrainingResult("X", 32, True, 10, 10, 1.0, TrainingCurve(), TimeBreakdown())
@@ -236,26 +246,26 @@ class TestTrainingCurveExperiment:
         assert stability_classification(dull) == "not_learning"
 
 
-class TestExecutionTimeExperiment:
+class TestFigure5Spec:
     def test_paper_reference_tables_complete(self):
         assert set(PAPER_EXECUTION_TIMES) == {32, 64, 128, 192}
         assert PAPER_SPEEDUPS[64]["OS-ELM-L2-Lipschitz"] == 29.76
         assert PAPER_SPEEDUPS[64]["FPGA"] == 126.06
 
     def test_ci_scale_run_and_speedups(self):
-        experiment = ExecutionTimeExperiment.ci_scale(
-            designs=("OS-ELM-L2", "DQN", "FPGA"), hidden_sizes=(16,), max_episodes=6)
-        report = run_experiment(experiment.to_spec(), backend="serial")
-        result = report.to_execution_time_result(platform=experiment.platform)
+        spec = get_spec("figure5", scale="ci").with_grid(
+            designs=("OS-ELM-L2", "DQN", "FPGA"), hidden_sizes=(16,)).with_budget(max_episodes=6)
+        report = run_experiment(spec, backend="serial")
+        result = report.to_execution_time_result(platform=PynqZ1Platform())
         assert isinstance(result, ExecutionTimeResult)
         for design in ("OS-ELM-L2", "DQN", "FPGA"):
             timing = result.get(design, 16)
             assert timing.modelled_total > 0
             assert timing.measured_total > 0
-        # The proposed designs complete the same (small) workload faster than DQN
+        # The proposed designs run the same (small) workload faster than DQN
         # under the platform latency model.
-        assert result.speedup_vs_dqn("OS-ELM-L2", 16) > 1.0
-        assert result.speedup_vs_dqn("FPGA", 16) > 1.0
+        assert result.get("DQN", 16).modelled_total > result.get("OS-ELM-L2", 16).modelled_total
+        assert result.get("DQN", 16).modelled_total > result.get("FPGA", 16).modelled_total
         # FPGA is at least as fast as the software OS-ELM design.
         assert result.get("FPGA", 16).modelled_total <= result.get("OS-ELM-L2", 16).modelled_total
         rows = result.summary_rows()
@@ -263,10 +273,10 @@ class TestExecutionTimeExperiment:
         assert "Figure 5" in result.render()
 
     def test_breakdown_rows(self):
-        experiment = ExecutionTimeExperiment.ci_scale(designs=("FPGA",), hidden_sizes=(16,),
-                                                      max_episodes=4)
-        report = run_experiment(experiment.to_spec(), backend="serial")
-        result = report.to_execution_time_result(platform=experiment.platform)
+        spec = get_spec("figure5", scale="ci").with_grid(
+            designs=("FPGA",), hidden_sizes=(16,)).with_budget(max_episodes=4)
+        report = run_experiment(spec, backend="serial")
+        result = report.to_execution_time_result(platform=PynqZ1Platform())
         rows = result.breakdown_rows("FPGA", 16)
         assert sum(row["fraction"] for row in rows) == pytest.approx(1.0, abs=0.01)
         fig6 = fpga_breakdown_rows(result, hidden_sizes=(16,))
@@ -275,3 +285,72 @@ class TestExecutionTimeExperiment:
 
     def test_speedup_missing_design_returns_none(self):
         assert ExecutionTimeResult().speedup_vs_dqn("FPGA", 64) is None
+
+    def test_speedup_defined_only_when_both_solved(self):
+        def timing(design, solved, seconds):
+            modelled = TimeBreakdown()
+            modelled.add("seq_train", seconds)
+            return DesignTiming(design=design, n_hidden=64, solved=solved, episodes=10,
+                                modelled=modelled, measured=TimeBreakdown(), counts={})
+
+        solved = ExecutionTimeResult()
+        solved.add(timing("DQN", True, 30.0))
+        solved.add(timing("FPGA", True, 2.0))
+        assert solved.speedup_vs_dqn("FPGA", 64) == pytest.approx(15.0)
+        assert solved.summary_rows()[1]["speedup_vs_DQN"] == 15.0
+
+        unsolved = ExecutionTimeResult()
+        unsolved.add(timing("DQN", True, 30.0))
+        unsolved.add(timing("FPGA", False, 2.0))
+        assert unsolved.speedup_vs_dqn("FPGA", 64) is None
+        assert unsolved.summary_rows()[1]["speedup_vs_DQN"] is None
+
+    def test_speedup_none_when_dqn_unsolved(self):
+        def timing(design, solved):
+            modelled = TimeBreakdown()
+            modelled.add("seq_train", 4.0)
+            return DesignTiming(design=design, n_hidden=32, solved=solved, episodes=60,
+                                modelled=modelled, measured=TimeBreakdown(), counts={})
+
+        result = ExecutionTimeResult()
+        result.add(timing("DQN", False))
+        result.add(timing("FPGA", True))
+        assert result.speedup_vs_dqn("FPGA", 32) is None
+        fpga_row = result.render().splitlines()[-1]
+        assert fpga_row.startswith("FPGA") and fpga_row.rstrip().endswith("-")
+
+    def test_project_timing_uses_platform_counts(self):
+        measured = TimeBreakdown()
+        measured.add("seq_train", 0.25, count=40)
+        measured.add("predict_seq", 0.5, count=80)
+        result = TrainingResult("FPGA", 32, True, 12, 12, 1.0, TrainingCurve(), measured)
+        platform = PynqZ1Platform()
+        timing = project_timing(result, platform)
+        expected = platform.project_breakdown("FPGA", measured.counts, n_hidden=32)
+        assert timing.modelled.seconds == expected.seconds
+        assert timing.counts == {"seq_train": 40, "predict_seq": 80}
+        assert timing.measured_total == pytest.approx(0.75)
+        assert (timing.design, timing.n_hidden, timing.solved, timing.episodes) == \
+            ("FPGA", 32, True, 12)
+
+    def test_breakdown_rows_of_empty_timing(self):
+        result = ExecutionTimeResult()
+        result.add(DesignTiming(design="FPGA", n_hidden=32, solved=False, episodes=0,
+                                modelled=TimeBreakdown(), measured=TimeBreakdown(),
+                                counts={}))
+        assert result.breakdown_rows("FPGA", 32) == []
+        assert result.speedup_vs_dqn("FPGA", 32) is None
+        assert result.summary_rows()[0]["modelled_seconds"] == 0.0
+
+    def test_fpga_breakdown_skips_missing_sizes(self):
+        modelled = TimeBreakdown()
+        modelled.add("seq_train", 1.5)
+        modelled.add("predict_seq", 0.5)
+        result = ExecutionTimeResult()
+        result.add(DesignTiming(design="FPGA", n_hidden=64, solved=True, episodes=5,
+                                modelled=modelled, measured=TimeBreakdown(), counts={}))
+        rows = fpga_breakdown_rows(result)
+        assert [row["n_hidden"] for row in rows] == [64]
+        assert rows[0]["total_seconds"] == pytest.approx(2.0)
+        assert rows[0]["seq_train"] == pytest.approx(1.5)
+        assert rows[0]["init_train"] == 0.0

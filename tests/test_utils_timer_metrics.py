@@ -5,42 +5,11 @@ import time
 import pytest
 
 from repro.utils.metrics import (
-    ExponentialMovingAverage,
     MovingAverage,
     RunningStats,
     SolvedCriterion,
 )
-from repro.utils.timer import OPERATION_LABELS, TimeBreakdown, Timer, timed
-
-
-class TestTimer:
-    def test_measures_elapsed_time(self):
-        timer = Timer()
-        timer.start()
-        time.sleep(0.01)
-        elapsed = timer.stop()
-        assert elapsed >= 0.009
-
-    def test_double_start_raises(self):
-        timer = Timer().start()
-        with pytest.raises(RuntimeError):
-            timer.start()
-
-    def test_stop_without_start_raises(self):
-        with pytest.raises(RuntimeError):
-            Timer().stop()
-
-    def test_context_manager(self):
-        with timed() as timer:
-            time.sleep(0.005)
-        assert timer.elapsed >= 0.004
-        assert not timer.running
-
-    def test_reset(self):
-        timer = Timer().start()
-        timer.stop()
-        timer.reset()
-        assert timer.elapsed == 0.0
+from repro.utils.timer import OPERATION_LABELS, TimeBreakdown
 
 
 class TestTimeBreakdown:
@@ -96,6 +65,39 @@ class TestTimeBreakdown:
         assert breakdown.seconds["op"] >= 0.004
         assert breakdown.counts["op"] == 1
 
+    def test_measure_records_when_block_raises(self):
+        breakdown = TimeBreakdown()
+        with pytest.raises(KeyError):
+            with breakdown.measure("op"):
+                raise KeyError("boom")
+        assert breakdown.counts["op"] == 1
+        assert breakdown.seconds["op"] >= 0.0
+
+    def test_merge_sums_counts(self):
+        a = TimeBreakdown()
+        a.add("x", 1.0, count=2)
+        b = TimeBreakdown()
+        b.add("x", 1.0, count=3)
+        b.add("y", 0.5, count=4)
+        merged = a.merge(b)
+        assert merged.counts == {"x": 5, "y": 4}
+        assert a.counts == {"x": 2}
+
+    def test_scaled_keeps_counts(self):
+        breakdown = TimeBreakdown()
+        breakdown.add("x", 2.0, count=7)
+        scaled = breakdown.scaled(0.5)
+        assert scaled.counts == {"x": 7}
+        scaled.counts["x"] = 0
+        assert breakdown.counts["x"] == 7
+
+    def test_as_dict_is_a_copy(self):
+        breakdown = TimeBreakdown()
+        breakdown.add("x", 1.0)
+        snapshot = breakdown.as_dict()
+        snapshot["x"] = 99.0
+        assert breakdown.seconds["x"] == pytest.approx(1.0)
+
     def test_paper_operation_labels_present(self):
         assert "seq_train" in OPERATION_LABELS
         assert "train_DQN" in OPERATION_LABELS
@@ -123,29 +125,19 @@ class TestMovingAverage:
         with pytest.raises(ValueError):
             MovingAverage(0)
 
+    def test_add_returns_average_and_evicts_oldest(self):
+        avg = MovingAverage(window=2)
+        assert avg.add(4.0) == pytest.approx(4.0)
+        assert avg.add(6.0) == pytest.approx(5.0)
+        assert avg.add(10.0) == pytest.approx(8.0)   # 4.0 has left the window
+        assert avg.count == 2
+
     def test_reset(self):
         avg = MovingAverage(3)
         avg.add(10.0)
         avg.reset()
         assert avg.value == 0.0
         assert avg.count == 0
-
-
-class TestExponentialMovingAverage:
-    def test_first_value_is_exact(self):
-        ema = ExponentialMovingAverage(0.5)
-        assert ema.add(10.0) == pytest.approx(10.0)
-
-    def test_smoothing(self):
-        ema = ExponentialMovingAverage(0.5)
-        ema.add(0.0)
-        assert ema.add(10.0) == pytest.approx(5.0)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
-            ExponentialMovingAverage(0.0)
-        with pytest.raises(ValueError):
-            ExponentialMovingAverage(1.5)
 
 
 class TestRunningStats:
@@ -162,6 +154,13 @@ class TestRunningStats:
         stats = RunningStats()
         assert stats.mean == 0.0
         assert stats.variance == 0.0
+
+    def test_single_value(self):
+        stats = RunningStats()
+        stats.add(-2.5)
+        assert stats.count == 1
+        assert stats.mean == stats.min == stats.max == -2.5
+        assert stats.std == 0.0
 
 
 class TestSolvedCriterion:
@@ -201,6 +200,19 @@ class TestSolvedCriterion:
         assert criterion.episodes == 0
         assert criterion.history == []
         assert not criterion.solved
+
+    def test_invalid_arguments(self):
+        with pytest.raises(ValueError):
+            SolvedCriterion(window=0)
+        with pytest.raises(ValueError):
+            SolvedCriterion(max_episodes=0)
+
+    def test_average_covers_last_window(self):
+        criterion = SolvedCriterion(threshold=10.0, window=2)
+        for value in (0.0, 8.0, 14.0):
+            criterion.update(value)
+        assert criterion.average == pytest.approx(11.0)
+        assert criterion.solved
 
     def test_cartpole_default_matches_convention(self):
         criterion = SolvedCriterion()
