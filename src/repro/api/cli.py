@@ -11,7 +11,8 @@ Subcommands
     ``--checkpoint-every N`` (serial backend) additionally persists
     mid-trial training state so a killed run resumes *inside* a trial;
     ``--progress-every N`` streams per-trial progress to stderr;
-    ``--lease-batch K`` batches distributed task leases;
+    ``--lease-batch K`` overrides the distributed tasks leased per worker
+    request;
     ``--journal PATH`` (distributed backend) write-ahead logs broker
     queue transitions so a killed broker restarted with the same flag
     resumes the sweep instead of rerunning it.
@@ -461,10 +462,11 @@ def build_parser() -> argparse.ArgumentParser:
                              "a killed broker with the same path to resume "
                              "the sweep (completed trials stay done, "
                              "in-flight leases are requeued)")
-    runner.add_argument("--lease-batch", type=int, default=1, metavar="K",
+    runner.add_argument("--lease-batch", type=int, default=None, metavar="K",
                         help="distributed backend: tasks leased per worker "
-                             "request (amortizes connection latency; "
-                             "default 1)")
+                             "request, each lease trained lock-step "
+                             "(default: an equal share per --workers "
+                             "process, or 1 with --bind/--autoscale)")
     runner.add_argument("--progress-every", type=int, default=0, metavar="N",
                         help="stream per-trial training progress to stderr "
                              "every N episodes (serial/vectorized backends; "

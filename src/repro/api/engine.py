@@ -107,7 +107,7 @@ def run(spec_or_name: Union[str, ExperimentSpec], *, backend: str = "auto",
         store: Optional[ArtifactStore] = None, resume: bool = True,
         cache_only: bool = False, max_workers: Optional[int] = None,
         bind: Optional[str] = None, checkpoint_every: int = 0,
-        lease_batch: int = 1, progress_every: int = 0,
+        lease_batch: Optional[int] = None, progress_every: int = 0,
         save_policy: bool = False, autoscale=None,
         journal: Optional[str] = None) -> RunReport:
     """Execute an experiment spec (or registered name) and return its report.
@@ -151,8 +151,11 @@ def run(spec_or_name: Union[str, ExperimentSpec], *, backend: str = "auto",
         N episodes so an interrupted run resumes *inside* a trial
         (bit-for-bit).  0 disables.
     lease_batch:
-        Distributed backend: tasks leased per worker request (k-task
-        batching; default 1 is the classic protocol).
+        Distributed backend: tasks leased per worker request; each worker
+        trains its lease lock-step.  ``None`` (default) leases an equal
+        share, ``ceil(n_trials / max_workers)``, to a locally spawned
+        fleet and 1 task at a time to external (``bind``) or autoscaled
+        fleets.
     progress_every:
         Serial/vectorized backends: stream per-trial progress to stderr
         every N episodes.  0 disables.

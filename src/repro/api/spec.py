@@ -78,20 +78,6 @@ class Budget:
             seed=seed,
         )
 
-    @staticmethod
-    def from_training_config(config: TrainingConfig) -> "Budget":
-        """Lift a legacy :class:`TrainingConfig` into a budget (drops env/seed)."""
-        return Budget(
-            max_episodes=config.max_episodes,
-            max_steps_per_episode=config.max_steps_per_episode,
-            solved_threshold=config.solved_threshold,
-            solved_window=config.solved_window,
-            reward_shaping=config.reward_shaping,
-            success_steps=config.success_steps,
-            stop_when_solved=config.stop_when_solved,
-            record_lipschitz=config.record_lipschitz,
-        )
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:

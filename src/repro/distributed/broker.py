@@ -21,10 +21,11 @@ job is to make the fleet *safe to lose*:
   last completed trial on the next run (the engine's cache pass skips
   stored trials before they ever reach the broker).
 
-Determinism: the broker never reorders computation — each task is executed
-by exactly one ``Trainer().fit`` call inside some worker, identical to the
-serial backend's loop — so distributed results replay serial results
-bit-for-bit on fixed seeds regardless of which worker ran what, in what
+Determinism: the broker never changes computation — each worker trains
+its lease through the vectorized backend's lock-step grouping, which is
+bit-identical to the serial backend's ``Trainer().fit`` per task — so
+distributed results replay serial results bit-for-bit on fixed seeds
+regardless of which worker ran what, with which lease-mates, in what
 order, or how many times a lease bounced.
 """
 
@@ -97,11 +98,10 @@ class SweepBroker:
         Tasks leased per worker ``GET``.  The broker answers a request
         with one ``TASKS`` frame carrying up to
         ``min(lease_batch, capacity)`` tasks, where ``capacity`` is the
-        positive int the ``GET`` carries; with k > 1 remote workers
-        amortize a connection round trip over k trials on paper-scale
-        grids.  Leases, heartbeat extension, requeue-on-death and result
-        dedup are per *task* — a worker dying mid-batch requeues only its
-        unfinished tasks.
+        positive int the ``GET`` carries; workers train the k tasks of a
+        lease lock-step.  Leases, heartbeat extension, requeue-on-death
+        and result dedup are per *task* — a worker dying mid-batch
+        requeues only its undelivered tasks.
     max_frame_bytes:
         Per-frame size ceiling enforced on every worker frame *before*
         allocation (default: :func:`~repro.distributed.protocol.

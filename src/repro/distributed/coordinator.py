@@ -10,15 +10,23 @@ instead publishes the broker on a routable interface for external
 ``python -m repro worker --connect`` fleets; both kinds of worker can serve
 the same broker at once.
 
-Fault behaviour: a worker that dies mid-trial is detected by its dropped
-connection (or lease timeout for hangs) and its tasks are requeued — the
-sweep converges as long as at least one worker remains.  If *every*
-auto-spawned worker is dead and no external worker is connected, the
-coordinator raises instead of waiting forever.
+Lease size: every worker trains its whole lease lock-step, so a locally
+spawned fixed fleet of ``n_workers`` leases ``ceil(n_tasks / n_workers)``
+tasks per ``GET`` — one equal share per worker, each share one lock-step
+batch.  External (``bind``) and autoscaled fleets change size while the
+grid drains, so they lease one task per ``GET`` and no worker starves.
+An explicit ``lease_batch`` overrides either choice.
+
+Fault behaviour: a worker that dies mid-lease is detected by its dropped
+connection (or lease timeout for hangs) and its whole unfinished lease is
+requeued — the sweep converges as long as at least one worker remains.
+If *every* auto-spawned worker is dead and no external worker is
+connected, the coordinator raises instead of waiting forever.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import time
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -78,7 +86,7 @@ def run_distributed_sweep(
         callback: Optional[Callable[[SweepTask, TrainingResult], None]] = None,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         timeout: Optional[float] = None,
-        lease_batch: int = 1,
+        lease_batch: Optional[int] = None,
         autoscale=None,
         on_fleet_report: Optional[Callable[[object], None]] = None,
         journal=None,
@@ -105,7 +113,10 @@ def run_distributed_sweep(
         Overall wall-clock bound; ``TimeoutError`` when exceeded.
     lease_batch:
         Tasks the broker leases per worker request (see
-        :class:`~repro.distributed.broker.SweepBroker`); default 1.
+        :class:`~repro.distributed.broker.SweepBroker`).  ``None``
+        (default): ``ceil(len(tasks) / n_workers)`` for a locally spawned
+        fixed fleet, 1 when ``bind`` or ``autoscale`` is given (see the
+        module docstring).
     autoscale:
         ``True`` or an :class:`~repro.fleet.AutoscaleConfig` to replace the
         fixed ``n_workers`` fleet with a
@@ -142,6 +153,9 @@ def run_distributed_sweep(
             raise ValueError("n_workers must be positive when no bind address "
                              "is given (nobody could ever serve the queue)")
 
+    if lease_batch is None:
+        lease_batch = (math.ceil(len(tasks) / n_workers)
+                       if bind is None and not autoscale else 1)
     broker = SweepBroker(tasks, host=host, port=port, store=store,
                          heartbeat_timeout=heartbeat_timeout, callback=callback,
                          lease_batch=lease_batch, journal=journal)

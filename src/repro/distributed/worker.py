@@ -1,19 +1,23 @@
 """The worker side of the distributed sweep backend.
 
 ``run_worker`` is what ``python -m repro worker --connect HOST:PORT``
-executes: connect to a :class:`~repro.distributed.broker.SweepBroker`, pull
-:class:`~repro.parallel.sweep.SweepTask`s one at a time, run each through
-the *exact* serial trainer code path
-(:func:`repro.parallel.sweep._run_sweep_task` -> ``Trainer().fit``), and
-stream the :class:`~repro.training.records.TrainingResult` back.  Because the
-computation per task is identical to the serial backend, a distributed
-sweep replays a serial sweep bit-for-bit on fixed seeds — the worker adds
-transport, never arithmetic.
+executes: connect to a :class:`~repro.distributed.broker.SweepBroker`, lease
+a batch of :class:`~repro.parallel.sweep.SweepTask`s per ``GET``, and answer
+the whole lease at once (:func:`train_lease`): tasks already in the
+worker's store come from the store, the rest train lock-step through the
+vectorized backend's own grouping
+(:func:`repro.parallel.sweep.train_lockstep` -> ``Trainer().fit_lockstep``).
+The :class:`~repro.training.records.TrainingResult`s then go back one
+``RESULT``/``ACK`` pair per task, in lease order, so requeue, dedup and the
+journal stay per task.  Lock-step training is bit-identical to the serial
+trainer, so a distributed sweep replays a serial sweep bit-for-bit on
+fixed seeds — the worker adds transport, never arithmetic.
 
-While a trial is training, a daemon thread sends ``HEARTBEAT`` frames so
-the broker keeps the lease alive through arbitrarily long trials; if this
-process dies instead, the dropped connection (or, for a hang, the lease
-timeout) makes the broker requeue the task for another worker.
+While a lease is training, one daemon thread sends ``HEARTBEAT`` frames so
+the broker keeps every task of the lease alive through arbitrarily long
+batches; if this process dies instead, the dropped connection (or, for a
+hang, the lease timeout) makes the broker requeue the whole unfinished
+lease for other workers.
 
 Every connection opens with the version-checked handshake
 (:func:`repro.distributed.protocol.hello`).  A broker running another
@@ -22,10 +26,10 @@ reconnecting: retrying cannot change the broker's code.
 
 Graceful retirement: the worker installs SIGTERM/SIGINT handlers (main
 thread only) that request a *drain* instead of killing the process — the
-in-flight lease batch finishes, every result is delivered and acked, the
+in-flight lease finishes, every result is delivered and acked, the
 broker is told ``DRAIN``, and only then does the loop exit.  A second
 signal skips the grace and dies immediately (the broker's lease requeue
-covers the abandoned task).  The broker can also retire the worker from
+covers the abandoned tasks).  The broker can also retire the worker from
 its side: a ``DRAIN`` reply to ``GET`` makes the loop exit at the same
 clean batch boundary.  Either way, retiring a worker loses no leases: this
 is the actuation primitive of :class:`repro.fleet.FleetAutoscaler`.
@@ -34,18 +38,20 @@ Reconnect: with ``WorkerOptions(reconnect=RetryPolicy(...))`` a
 lost broker connection no longer ends the worker — it backs off on the
 policy's deterministic schedule, reconnects, sends ``HELLO`` again under
 the *same* worker id (so broker accounting reconciles the gap as a
-reconnection, not a new worker), redelivers any result it computed during
-the outage (the broker's dedup absorbs the copy if the original landed),
-and resumes pulling tasks.  A result lost mid-``RESULT`` is therefore
-never lost twice: either the broker journaled/acked it, or the requeued
-lease is retrained — both converge on the same bits.  Without a policy
+reconnection, not a new worker), redelivers every result of the lease it
+had not yet delivered when the connection dropped (the broker's dedup
+absorbs a copy whose original landed, or that another worker retrained
+first), and resumes pulling tasks.  A result lost mid-``RESULT`` is
+therefore never lost twice: either the broker journaled/acked it, or the
+requeued lease is retrained — both converge on the same bits.  Without a policy
 (the default, and what the coordinator's auto-spawned fleets use) broker
 gone means the worker's job is done.
 
 Workers may attach their own :class:`~repro.api.store.ArtifactStore`
-(``repro worker --store DIR``).  A store-equipped worker answers tasks it
-has already trained from cache and checkpoints fresh results locally, so a
-worker fleet sharing a filesystem converges even across broker restarts.
+(``repro worker --store DIR``).  A store-equipped worker answers leased
+tasks it has already trained from cache (they never join the lock-step
+batch) and checkpoints fresh results locally, so a worker fleet sharing a
+filesystem converges even across broker restarts.
 """
 
 from __future__ import annotations
@@ -57,11 +63,12 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.distributed import protocol
-from repro.parallel.sweep import SweepTask, _run_sweep_task
+from repro.parallel.sweep import SweepTask, train_lockstep
 from repro.training.records import TrainingResult
 from repro.utils.logging import get_logger
 from repro.utils.retry import RetryPolicy
@@ -82,8 +89,11 @@ class WorkerOptions:
 
     worker_id: Optional[str] = None      #: default: ``<hostname>-<pid>-<uuid4[:8]>``
     store_root: Optional[str] = None     #: local artifact cache (resume + checkpoint)
-    heartbeat_interval: float = 2.0      #: seconds between keep-alive frames mid-trial
-    max_tasks: Optional[int] = None      #: stop after N trials (tests/failure injection)
+    heartbeat_interval: float = 2.0      #: seconds between keep-alive frames mid-lease
+    max_tasks: Optional[int] = None
+    """Stop after N trials (tests/failure injection).  Honoured at lease
+    boundaries: each ``GET`` asks for at most the remaining count, so a
+    lease never overshoots it."""
     connect_timeout: float = 10.0        #: seconds to wait for the broker socket
     handle_signals: bool = True          #: SIGTERM/SIGINT -> graceful drain (main thread only)
     drain_event: Optional[threading.Event] = field(default=None, compare=False)
@@ -145,20 +155,28 @@ def _install_drain_handlers(drain: threading.Event,
     return previous
 
 
-def execute_task(task: SweepTask, store=None) -> Tuple[TrainingResult, bool]:
-    """Run one task through the serial trainer; ``(result, was_cached)``.
+def train_lease(tasks: Sequence[SweepTask],
+                store=None) -> List[Tuple[TrainingResult, bool]]:
+    """Answer one lease; ``(result, was_cached)`` per task, in lease order.
 
-    With a store attached the trial is answered from cache when present and
-    checkpointed into the store when freshly trained.
+    With a store attached, tasks already in it are answered from cache and
+    never trained; the rest train lock-step
+    (:func:`~repro.parallel.sweep.train_lockstep`) and are checkpointed
+    into the store as each group finishes.
     """
+    answers: List[Optional[Tuple[TrainingResult, bool]]] = [None] * len(tasks)
     if store is not None:
-        cached = store.load_trial(task)
-        if cached is not None:
-            return cached[0], True
-    result = _run_sweep_task(task)
-    if store is not None:
-        store.save_trial(task, result, backend_used=DISTRIBUTED_BACKEND)
-    return result, False
+        for position, task in enumerate(tasks):
+            cached = store.load_trial(task)
+            if cached is not None:
+                answers[position] = (cached[0], True)
+    todo = [position for position, answer in enumerate(answers) if answer is None]
+    for i, _, result in train_lockstep([tasks[position] for position in todo]):
+        if store is not None:
+            store.save_trial(tasks[todo[i]], result,
+                             backend_used=DISTRIBUTED_BACKEND)
+        answers[todo[i]] = (result, False)
+    return answers
 
 
 class _WorkerState:
@@ -168,7 +186,7 @@ class _WorkerState:
 
     def __init__(self) -> None:
         self.completed = 0
-        #: Results computed but not yet acked when a connection died:
+        #: Results of a lease not yet acked when a connection died:
         #: ``(task index, result, backend)``.  Flushed first thing after
         #: every reconnect; the broker's dedup absorbs any copy whose
         #: original RESULT actually landed before the cut.
@@ -342,8 +360,11 @@ def _serve_connection(sock: socket.socket, worker_id: str, store,
                              worker=worker_id, completed=state.completed)
                 announce_drain()
                 return _ConnectionOutcome("drain", True)
+            capacity = (LEASE_CAPACITY if options.max_tasks is None
+                        else min(LEASE_CAPACITY,
+                                 options.max_tasks - state.completed))
             try:
-                send(protocol.GET, LEASE_CAPACITY)
+                send(protocol.GET, capacity)
                 kind, payload = protocol.recv_message(sock)
             except protocol.ProtocolError:
                 raise
@@ -366,41 +387,46 @@ def _serve_connection(sock: socket.socket, worker_id: str, store,
             if kind != protocol.TASKS:
                 raise protocol.ProtocolError(
                     f"expected TASKS/WAIT/SHUTDOWN/DRAIN, got {kind!r}")
-            # Up to lease_batch independent leases, executed sequentially
-            # with one RESULT/ACK pair each, so requeue/dedup stay per task.
-            for index, task in payload:
-                result, was_cached = _execute_with_heartbeat(
-                    task, store, send, options.heartbeat_interval)
+            # One heartbeat thread keeps every task of the lease alive while
+            # it trains; delivery stays one RESULT/ACK pair per task, in
+            # lease order, so requeue, dedup and the journal stay per task.
+            with _heartbeat(send, options.heartbeat_interval), \
+                    telemetry.span("worker.lease"):
+                answers = train_lease([task for _, task in payload], store)
+            for position, ((index, _), (result, was_cached)) in enumerate(
+                    zip(payload, answers)):
                 try:
                     fresh = deliver(index, result, DISTRIBUTED_BACKEND)
                 except protocol.ProtocolError:
                     raise
                 except (ConnectionError, OSError) as error:
-                    # Result may or may not have landed; the broker requeues
-                    # the lease if it didn't, and dedups the delivery if it
-                    # did.  Stash it for redelivery after a reconnect; the
-                    # rest of the batch is abandoned (the broker requeued
-                    # those leases the moment this connection dropped).
+                    # This result may or may not have landed, and the broker
+                    # requeued the rest of the lease the moment the
+                    # connection dropped.  Stash every undelivered result for
+                    # redelivery after a reconnect: the broker dedups a copy
+                    # that landed or that another worker retrained first.
                     _LOGGER.warning("broker lost mid-result", worker=worker_id,
                                     task=index)
-                    state.undelivered.append((index, result,
-                                              DISTRIBUTED_BACKEND))
+                    state.undelivered += [
+                        (undelivered, answer[0], DISTRIBUTED_BACKEND)
+                        for (undelivered, _), answer
+                        in zip(payload[position:], answers[position:])]
                     return _ConnectionOutcome("lost", True, error)
                 if was_cached:
                     telemetry.count("distributed.worker.cache_hits")
                 _LOGGER.info("task done", worker=worker_id, task=index,
                              cached=was_cached, accepted=fresh)
-            # A signal that landed mid-batch drains at the *batch* boundary:
-            # every lease the worker held has now been delivered and acked,
+            # A signal that landed mid-lease drains at the *lease* boundary:
+            # every task the worker held has now been delivered and acked,
             # so the drain requeues nothing (the loop top exits next pass).
         return _ConnectionOutcome("max_tasks", True)
     finally:
         sock.close()
 
 
-def _execute_with_heartbeat(task: SweepTask, store, send,
-                            interval: float) -> Tuple[TrainingResult, bool]:
-    """Train one task while a daemon thread keeps the broker lease alive."""
+@contextmanager
+def _heartbeat(send, interval: float) -> Iterator[None]:
+    """Keep the broker's leases alive from a daemon thread for the block."""
     stop = threading.Event()
 
     def beat() -> None:
@@ -413,12 +439,11 @@ def _execute_with_heartbeat(task: SweepTask, store, send,
     thread = threading.Thread(target=beat, name="worker-heartbeat", daemon=True)
     thread.start()
     try:
-        with telemetry.span("worker.task"):
-            return execute_task(task, store)
+        yield
     finally:
         stop.set()
         thread.join(timeout=1.0)
 
 
 __all__ = ["DISTRIBUTED_BACKEND", "LEASE_CAPACITY", "WorkerOptions",
-           "default_worker_id", "execute_task", "run_worker"]
+           "default_worker_id", "run_worker", "train_lease"]

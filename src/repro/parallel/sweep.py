@@ -30,9 +30,10 @@ Backends
     ``store``).
 ``"distributed"``
     A TCP worker fleet behind :func:`repro.distributed.run_distributed_sweep`:
-    tasks are served from a broker in this process to local auto-spawned
-    workers (and/or external ``repro worker --connect`` processes), with
-    heartbeat/lease requeue on worker death and optional per-trial
+    tasks are leased from a broker in this process to local auto-spawned
+    workers (and/or external ``repro worker --connect`` processes), each
+    of which trains its whole lease lock-step (:func:`train_lockstep`),
+    with heartbeat/lease requeue on worker death and optional per-trial
     artifact-store checkpointing.  Per-task results are bit-identical to
     serial.
 ``"auto"``
@@ -44,7 +45,7 @@ from __future__ import annotations
 import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -209,6 +210,42 @@ def _run_sweep_task_saving_policy(task: SweepTask, store_root: str) -> TrainingR
     return result
 
 
+def train_lockstep(tasks: Sequence[SweepTask],
+                   make_callbacks: Callable[[], Sequence] = tuple
+                   ) -> Iterator[Tuple[int, object, TrainingResult]]:
+    """Train ``tasks`` in lock-step groups; yields ``(position, agent, result)``.
+
+    Trials the batched strategy can replay faithfully group by (design,
+    env, hidden size); every other design — DQN, FPGA, the unregularized
+    OS-ELM variants — groups by environment and advances through the
+    generic per-agent strategy.  Each group is one
+    :meth:`~repro.training.Trainer.fit_lockstep` call, so its trials share
+    the group's wall time; every result is bit-identical to
+    :func:`_run_sweep_task` on the same task.  Results are yielded group by
+    group as each finishes, with ``position`` indexing ``tasks``.
+    ``make_callbacks`` builds a fresh callback list for each group's
+    trainer.  This is the vectorized backend and each distributed worker's
+    lease.
+    """
+    from repro.training.trainer import Trainer
+
+    batched: Dict[Tuple[str, str, int], List[int]] = defaultdict(list)
+    generic: Dict[str, List[int]] = defaultdict(list)
+    for position, task in enumerate(tasks):
+        if _design_supports_lockstep(task.design):
+            batched[(task.design, task.env_id, task.n_hidden)].append(position)
+        else:
+            generic[task.env_id].append(position)
+    plans = [(group, "batched") for group in batched.values()]
+    plans += [(group, "generic") for group in generic.values()]
+    for group, strategy in plans:
+        agents = [tasks[position].make_agent() for position in group]
+        configs = [tasks[position].training for position in group]
+        trainer = Trainer(callbacks=make_callbacks())
+        results = trainer.fit_lockstep(agents, configs, strategy=strategy)
+        yield from zip(group, agents, results)
+
+
 @dataclass
 class SweepResult:
     """All trials of one sweep, with cross-seed aggregation helpers."""
@@ -361,9 +398,11 @@ class SweepRunner:
         discards any stale snapshot so the trial genuinely retrains;
         checkpoints are still *written* when ``checkpoint_every`` is set.
     lease_batch:
-        Distributed backend: tasks leased per worker ``GET`` (connection-
-        latency amortization on paper-scale grids).  Default 1 preserves
-        the classic one-task-per-request protocol.
+        Distributed backend: tasks leased per worker ``GET``; each worker
+        trains its lease lock-step.  ``None`` (default) lets the
+        coordinator choose: ``ceil(n_tasks / max_workers)`` for a locally
+        spawned fixed fleet (one equal share per worker), 1 for external
+        (``bind``) and autoscaled fleets.
     progress_every:
         Serial/vectorized backends: stream per-trial progress to stderr
         every N episodes through a
@@ -399,7 +438,7 @@ class SweepRunner:
                  bind: Optional[str] = None,
                  checkpoint_every: int = 0,
                  resume_trial_state: bool = True,
-                 lease_batch: int = 1,
+                 lease_batch: Optional[int] = None,
                  progress_every: int = 0,
                  save_policies: bool = False,
                  autoscale=None,
@@ -408,7 +447,7 @@ class SweepRunner:
             raise ValueError(f"unknown backend {backend!r}; choose from {self.BACKENDS}")
         if checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if lease_batch < 1:
+        if lease_batch is not None and lease_batch < 1:
             raise ValueError("lease_batch must be >= 1")
         if progress_every < 0:
             raise ValueError("progress_every must be >= 0")
@@ -509,7 +548,14 @@ class SweepRunner:
             for task, (result, backend_used) in zip(tasks, pairs):
                 sweep.add(task, result, backend_used=backend_used)
         else:
-            self._run_vectorized(tasks, sweep, callback)
+            for position, agent, result in train_lockstep(
+                    tasks, make_callbacks=self._progress_callbacks):
+                task = tasks[position]
+                if self.save_policies:
+                    self.store.save_policy(task, agent)
+                if callback is not None:
+                    callback(task, result)
+                sweep.add(task, result, backend_used="lockstep")
         sweep.wall_time_seconds = time.perf_counter() - start
         _LOGGER.info("sweep finished", backend=self.backend,
                      seconds=round(sweep.wall_time_seconds, 2))
@@ -542,38 +588,3 @@ class SweepRunner:
             callbacks.append(CheckpointCallback(self.store, task,
                                                 every=self.checkpoint_every))
         return callbacks
-
-    # ------------------------------------------------------------------ vectorized
-    def _run_vectorized(self, tasks: Sequence[SweepTask], sweep: SweepResult,
-                        callback: Optional[Callable[[SweepTask, TrainingResult], None]]
-                        ) -> None:
-        """Everything lock-steps: batched strategy groups + generic groups.
-
-        Trials the batched strategy can replay faithfully group by
-        (design, env, hidden size); every other design — DQN, FPGA, the
-        unregularized OS-ELM variants — groups by environment and advances
-        through the generic per-agent strategy, so the whole grid reports
-        ``backend_used="lockstep"``.
-        """
-        from repro.training.trainer import Trainer
-
-        batched: Dict[Tuple[str, str, int], List[SweepTask]] = defaultdict(list)
-        generic: Dict[str, List[SweepTask]] = defaultdict(list)
-        for task in tasks:
-            if _design_supports_lockstep(task.design):
-                batched[(task.design, task.env_id, task.n_hidden)].append(task)
-            else:
-                generic[task.env_id].append(task)
-        plans = [(group_tasks, "batched") for group_tasks in batched.values()]
-        plans += [(group_tasks, "generic") for group_tasks in generic.values()]
-        for group_tasks, strategy in plans:
-            agents = [task.make_agent() for task in group_tasks]
-            configs = [task.training for task in group_tasks]
-            trainer = Trainer(callbacks=self._progress_callbacks())
-            results = trainer.fit_lockstep(agents, configs, strategy=strategy)
-            for task, agent, result in zip(group_tasks, agents, results):
-                if self.save_policies:
-                    self.store.save_policy(task, agent)
-                if callback is not None:
-                    callback(task, result)
-                sweep.add(task, result, backend_used="lockstep")

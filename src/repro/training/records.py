@@ -82,7 +82,11 @@ class TrainingResult:
     solved: bool
     episodes: int                              #: episodes actually run
     episodes_to_solve: Optional[int]           #: None when the run failed / was cut off
-    wall_time_seconds: float                   #: total wall-clock time of the run
+    wall_time_seconds: float
+    """Wall-clock time of the run.  Trials trained together by
+    :meth:`Trainer.fit_lockstep` (the vectorized backend's groups, and
+    each group of a distributed worker's lease) share one value: the
+    group's wall time, not the trial's own share of it."""
     curve: TrainingCurve
     breakdown: TimeBreakdown                   #: per-operation measured time + counts
     weight_resets: int = 0

@@ -26,11 +26,6 @@ class TestBudget:
         assert config.solved_threshold == 50.0
         assert config.seed == 3
 
-    def test_round_trip_via_training_config(self):
-        budget = Budget(max_episodes=7, reward_shaping=False, record_lipschitz=True)
-        config = budget.training_config(env_id="CartPole-v0")
-        assert Budget.from_training_config(config) == budget
-
 
 class TestExperimentSpec:
     def test_validation(self):

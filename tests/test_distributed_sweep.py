@@ -19,10 +19,13 @@ from repro.api.cli import main as cli_main
 from repro.distributed import (
     SweepBroker,
     WorkerOptions,
-    execute_task,
     run_distributed_sweep,
+    run_worker,
     spawn_local_workers,
+    train_lease,
 )
+from repro.distributed import coordinator
+from repro.distributed import worker as worker_module
 from repro.parallel.sweep import SweepRunner, SweepSpec, _run_sweep_task
 from repro.training import TrainingConfig
 
@@ -31,6 +34,13 @@ def _tiny_sweep(n_seeds=3, max_episodes=20):
     return SweepSpec(designs=("OS-ELM-L2-Lipschitz",), n_seeds=n_seeds,
                      n_hidden=16, training=TrainingConfig(max_episodes=max_episodes),
                      root_seed=321)
+
+
+def _curve_hex(result):
+    """Every float of a trial's curve, bit-exact."""
+    return [(record.steps, float(record.shaped_return).hex(),
+             float(record.moving_average).hex())
+            for record in result.curve.records]
 
 
 def _assert_same_trials(reference, sweep):
@@ -91,11 +101,68 @@ class TestDistributedBackend:
             np.testing.assert_array_equal(serial_result.curve.steps,
                                           dist_result.curve.steps)
 
+    def test_worker_killed_mid_lease_requeues_its_whole_share(self):
+        """SIGKILL mid-lease: the share goes back whole and still converges."""
+        spec = SweepSpec(designs=("OS-ELM",), n_seeds=4, n_hidden=16,
+                         training=TrainingConfig(max_episodes=150),
+                         root_seed=321)
+        tasks = spec.tasks()
+        serial = [_run_sweep_task(task) for task in tasks]
+
+        broker = SweepBroker(tasks, heartbeat_timeout=5.0, lease_batch=2)
+        broker.start()
+        host, port = broker.address
+        workers = spawn_local_workers(host, port, 2)
+        try:
+            victim = None
+            deadline = time.monotonic() + 30.0
+            while victim is None and time.monotonic() < deadline:
+                rows = broker.stats_snapshot()["workers"]
+                victim = next((int(worker_id.rsplit("-", 1)[1])
+                               for worker_id, row in rows.items()
+                               if row["leases"] == 2), None)
+                time.sleep(0.001)
+            assert victim is not None, "no worker ever held a full share"
+            workers[victim].kill()        # SIGKILL: no drain, no delivery
+            assert broker.join(timeout=60.0), "sweep did not converge"
+            results = broker.results()
+        finally:
+            broker.close()
+            for worker in workers:
+                worker.join(timeout=5.0)
+                if worker.is_alive():
+                    worker.kill()
+        assert broker.requeued_tasks == 2
+        for serial_result, (dist_result, backend_used) in zip(serial, results):
+            assert backend_used == "distributed"
+            assert _curve_hex(serial_result) == _curve_hex(dist_result)
+
+    @pytest.mark.parametrize("kwargs, expected", [
+        ({"n_workers": 2}, 3),                                 # ceil(5 / 2)
+        ({"n_workers": 2, "bind": "127.0.0.1:0"}, 1),          # externals may join
+        ({"n_workers": 2, "lease_batch": 2}, 2),               # explicit override
+    ])
+    def test_spawned_fleet_leases_equal_shares(self, monkeypatch, kwargs,
+                                               expected):
+        snapshots = []
+
+        class RecordingBroker(SweepBroker):
+            def close(self):
+                snapshots.append(self.stats_snapshot())
+                super().close()
+
+        monkeypatch.setattr(coordinator, "SweepBroker", RecordingBroker)
+        tasks = _tiny_sweep(n_seeds=5, max_episodes=5).tasks()
+        pairs = run_distributed_sweep(tasks, **kwargs)
+        [stats] = snapshots
+        assert stats["lease_batch"] == expected
+        assert stats["counters"]["requeued_tasks"] == 0
+        for task, (result, _) in zip(tasks, pairs):
+            assert _curve_hex(result) == _curve_hex(_run_sweep_task(task))
+
     def test_all_workers_dead_raises_instead_of_hanging(self, monkeypatch):
         """A fleet that crashes on arrival is an error, not an infinite wait."""
         import multiprocessing as mp
-
-        from repro.distributed import coordinator
 
         def spawn_dead_fleet(host, port, n_workers, **kwargs):
             process = mp.get_context().Process(target=time.sleep, args=(0,))
@@ -167,11 +234,11 @@ class TestEngineAndStore:
     def test_store_equipped_worker_answers_from_cache(self, tmp_path):
         store = ArtifactStore(tmp_path / "worker-store")
         task = _tiny_sweep(n_seeds=1, max_episodes=4).tasks()[0]
-        fresh, was_cached = execute_task(task, store)
+        [(fresh, was_cached)] = train_lease([task], store)
         assert was_cached is False
-        again, was_cached = execute_task(task, store)
+        [(again, was_cached)] = train_lease([task], store)
         assert was_cached is True
-        np.testing.assert_array_equal(fresh.curve.steps, again.curve.steps)
+        assert _curve_hex(fresh) == _curve_hex(again)
 
 
 class TestCLI:
@@ -227,3 +294,57 @@ class TestWorkerOptions:
             completed = run_worker(host, port, WorkerOptions())
             assert completed == 1
             assert broker.join(timeout=1.0)
+
+
+class TestLockstepLease:
+    def test_mixed_lease_matches_serial_and_skips_the_cached_task(
+            self, tmp_path, monkeypatch):
+        """One lease: a batched group, a generic group and a cached task."""
+        spec = SweepSpec(designs=("OS-ELM-L2", "OS-ELM", "DQN"), n_seeds=2,
+                         n_hidden=16, training=TrainingConfig(max_episodes=8),
+                         root_seed=321)
+        tasks = spec.tasks()
+        serial = [_run_sweep_task(task) for task in tasks]
+        cached_task = tasks[2]                       # the first OS-ELM trial
+        store = ArtifactStore(tmp_path / "worker-store")
+        store.save_trial(cached_task, serial[2], backend_used="serial")
+
+        trained = []
+        real_train_lockstep = worker_module.train_lockstep
+
+        def slow_train_lockstep(lease_tasks, *args, **kwargs):
+            # Outlast the broker's lease timeout several times over, so
+            # only the lease-wide heartbeat keeps the leases alive.
+            trained.extend(task.key() for task in lease_tasks)
+            time.sleep(1.0)
+            return real_train_lockstep(lease_tasks, *args, **kwargs)
+
+        monkeypatch.setattr(worker_module, "train_lockstep", slow_train_lockstep)
+        with SweepBroker(tasks, heartbeat_timeout=0.3,
+                         lease_batch=len(tasks)) as broker:
+            host, port = broker.address
+            completed = run_worker(host, port, WorkerOptions(
+                store_root=str(tmp_path / "worker-store"),
+                heartbeat_interval=0.05, handle_signals=False))
+            assert broker.join(timeout=1.0)
+            results = broker.results()
+        assert completed == len(tasks)
+        assert broker.requeued_tasks == 0
+        assert broker.duplicate_results == 0
+        assert cached_task.key() not in trained
+        assert sorted(trained) == sorted(task.key() for task in tasks
+                                         if task is not cached_task)
+        for serial_result, (result, backend_used) in zip(serial, results):
+            assert backend_used == "distributed"
+            assert _curve_hex(result) == _curve_hex(serial_result)
+        assert results[2][0].wall_time_seconds == serial[2].wall_time_seconds
+
+    def test_max_tasks_caps_the_lease_it_asks_for(self):
+        tasks = _tiny_sweep(n_seeds=3, max_episodes=3).tasks()
+        with SweepBroker(tasks, lease_batch=3) as broker:
+            host, port = broker.address
+            completed = run_worker(host, port, WorkerOptions(
+                max_tasks=2, handle_signals=False))
+            assert completed == 2
+            assert broker.completed_count == 2
+            assert broker.stats_snapshot()["tasks"]["leased"] == 0
