@@ -57,7 +57,12 @@ def _local_worker_main(host: str, port: int, worker_id: str,
 def spawn_local_workers(host: str, port: int, n_workers: int, *,
                         heartbeat_interval: float = 2.0,
                         context: str = "spawn") -> List[mp.Process]:
-    """Start ``n_workers`` daemon worker processes against one broker.
+    """Start ``n_workers`` worker processes against one broker.
+
+    Workers are not daemonic: a lease with ``action_repeat > 1`` trains on
+    a ``SubprocVectorEnv``, which needs child processes of its own, and
+    Python refuses those to a daemon.  The caller joins (and if need be
+    kills) the fleet instead.
 
     The default start method is ``spawn``, not the platform default: the
     broker's accept/monitor threads are already running when the fleet
@@ -72,7 +77,7 @@ def spawn_local_workers(host: str, port: int, n_workers: int, *,
         process = ctx.Process(
             target=_local_worker_main,
             args=(host, port, f"local-{i}", heartbeat_interval),
-            daemon=True, name=f"repro-worker-{i}")
+            daemon=False, name=f"repro-worker-{i}")
         process.start()
         processes.append(process)
     return processes
@@ -220,7 +225,9 @@ def run_distributed_sweep(
         for worker in workers:
             worker.join(timeout=2.0)
             if worker.is_alive():   # pragma: no cover - stuck worker
-                worker.terminate()
+                # The broker is closed, so the straggler has nowhere to
+                # deliver; SIGTERM would only make it drain its lease first.
+                worker.kill()
                 worker.join(timeout=1.0)
 
 

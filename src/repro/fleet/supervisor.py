@@ -74,7 +74,9 @@ class WorkerSupervisor:
                 target=_local_worker_main,
                 args=(self.host, self.port, worker_id,
                       self.heartbeat_interval),
-                daemon=True, name=f"repro-{worker_id}")
+                # Not daemonic, as in spawn_local_workers: a frame-skip
+                # lease needs SubprocVectorEnv children.  stop_all reaps.
+                daemon=False, name=f"repro-{worker_id}")
             process.start()
             self._processes[worker_id] = process
             self._spawned_at[worker_id] = time.monotonic()

@@ -218,24 +218,26 @@ def train_lockstep(tasks: Sequence[SweepTask],
     Trials the batched strategy can replay faithfully group by (design,
     env, hidden size); every other design — DQN, FPGA, the unregularized
     OS-ELM variants — groups by environment and advances through the
-    generic per-agent strategy.  Each group is one
-    :meth:`~repro.training.Trainer.fit_lockstep` call, so its trials share
-    the group's wall time; every result is bit-identical to
-    :func:`_run_sweep_task` on the same task.  Results are yielded group by
-    group as each finishes, with ``position`` indexing ``tasks``.
-    ``make_callbacks`` builds a fresh callback list for each group's
-    trainer.  This is the vectorized backend and each distributed worker's
-    lease.
+    generic per-agent strategy.  Both also split by ``action_repeat``,
+    since one vector env steps every trial with the same frame skip.
+    Each group is one :meth:`~repro.training.Trainer.fit_lockstep` call,
+    so its trials share the group's wall time; every result is
+    bit-identical to :func:`_run_sweep_task` on the same task.  Results
+    are yielded group by group as each finishes, with ``position``
+    indexing ``tasks``.  ``make_callbacks`` builds a fresh callback list
+    for each group's trainer.  This is the vectorized backend and each
+    distributed worker's lease.
     """
     from repro.training.trainer import Trainer
 
-    batched: Dict[Tuple[str, str, int], List[int]] = defaultdict(list)
-    generic: Dict[str, List[int]] = defaultdict(list)
+    batched: Dict[Tuple[str, str, int, int], List[int]] = defaultdict(list)
+    generic: Dict[Tuple[str, int], List[int]] = defaultdict(list)
     for position, task in enumerate(tasks):
+        repeat = task.training.action_repeat
         if _design_supports_lockstep(task.design):
-            batched[(task.design, task.env_id, task.n_hidden)].append(position)
+            batched[(task.design, task.env_id, task.n_hidden, repeat)].append(position)
         else:
-            generic[task.env_id].append(position)
+            generic[(task.env_id, repeat)].append(position)
     plans = [(group, "batched") for group in batched.values()]
     plans += [(group, "generic") for group in generic.values()]
     for group, strategy in plans:

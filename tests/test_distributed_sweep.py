@@ -26,6 +26,7 @@ from repro.distributed import (
 )
 from repro.distributed import coordinator
 from repro.distributed import worker as worker_module
+from repro.fleet import AutoscaleConfig
 from repro.parallel.sweep import SweepRunner, SweepSpec, _run_sweep_task
 from repro.training import TrainingConfig
 
@@ -158,6 +159,23 @@ class TestDistributedBackend:
         assert stats["lease_batch"] == expected
         assert stats["counters"]["requeued_tasks"] == 0
         for task, (result, _) in zip(tasks, pairs):
+            assert _curve_hex(result) == _curve_hex(_run_sweep_task(task))
+
+    @pytest.mark.parametrize("fleet", [
+        {"n_workers": 2},
+        {"autoscale": AutoscaleConfig(min_workers=1, max_workers=1,
+                                      poll_interval=0.05)},
+    ], ids=["fixed", "autoscaled"])
+    def test_frame_skip_sweep_matches_serial(self, fleet):
+        """``action_repeat > 1`` leases step a SubprocVectorEnv, whose env
+        processes are children of the worker process."""
+        tasks = SweepSpec(designs=("OS-ELM-L2", "DQN"), n_seeds=2, n_hidden=16,
+                          training=TrainingConfig(max_episodes=5,
+                                                  action_repeat=2),
+                          root_seed=321).tasks()
+        pairs = run_distributed_sweep(tasks, timeout=120.0, **fleet)
+        for task, (result, backend_used) in zip(tasks, pairs):
+            assert backend_used == "distributed"
             assert _curve_hex(result) == _curve_hex(_run_sweep_task(task))
 
     def test_all_workers_dead_raises_instead_of_hanging(self, monkeypatch):
@@ -338,6 +356,19 @@ class TestLockstepLease:
             assert backend_used == "distributed"
             assert _curve_hex(result) == _curve_hex(serial_result)
         assert results[2][0].wall_time_seconds == serial[2].wall_time_seconds
+
+    def test_lease_mixing_frame_skips_in_one_env_matches_serial(self):
+        tasks = []
+        for repeat in (1, 2):
+            tasks += SweepSpec(designs=("OS-ELM-L2", "OS-ELM"), n_seeds=2,
+                               n_hidden=16,
+                               training=TrainingConfig(max_episodes=4,
+                                                       action_repeat=repeat),
+                               root_seed=321).tasks()
+        answers = train_lease(tasks)
+        for task, (result, was_cached) in zip(tasks, answers):
+            assert was_cached is False
+            assert _curve_hex(result) == _curve_hex(_run_sweep_task(task))
 
     def test_max_tasks_caps_the_lease_it_asks_for(self):
         tasks = _tiny_sweep(n_seeds=3, max_episodes=3).tasks()
