@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.clipping import q_learning_target
+from repro.core.clipping import q_learning_target, q_learning_targets
 from repro.core.elm import ELM
 from repro.core.os_elm import OSELM
 from repro.core.policies import EpsilonGreedyPolicy, RandomUpdateGate
@@ -42,7 +42,11 @@ from repro.core.regularization import RegularizationConfig
 from repro.core.replay import InitialTrainingBuffer, Transition
 from repro.utils.seeding import np_random
 from repro.utils.timer import TimeBreakdown
-from repro.utils.validation import check_probability
+from repro.utils.validation import (
+    check_finite_scalar,
+    check_finite_vector,
+    check_probability,
+)
 
 
 @dataclass(frozen=True)
@@ -177,6 +181,21 @@ class _ELMFamilyAgent(QLearningAgent):
         self._episodes_since_progress = 0
         self.weight_resets = 0
 
+    # ------------------------------------------------------------------ input boundary
+    # ``act`` and ``observe`` check each input once; everything below them
+    # runs on trusted kernels (see repro.utils.validation).
+    def _checked_state(self, state: np.ndarray, name: str = "state") -> np.ndarray:
+        return check_finite_vector(state, self.config.n_states, name=name)
+
+    def _checked_transition(self, state: np.ndarray, action: int, reward: float,
+                            next_state: np.ndarray):
+        action = int(action)
+        if not 0 <= action < self.config.n_actions:
+            raise ValueError(f"action must be in [0, {self.config.n_actions}), got {action}")
+        return (self._checked_state(state), action,
+                check_finite_scalar(reward, name="reward"),
+                self._checked_state(next_state, "next_state"))
+
     # ------------------------------------------------------------------ target network
     def _sync_target(self) -> None:
         """theta_2 <- theta_1 (Algorithm 1 lines 23–24)."""
@@ -184,22 +203,29 @@ class _ELMFamilyAgent(QLearningAgent):
             self._target_beta = self.model.beta.copy()
 
     def _target_max_q(self, state: np.ndarray) -> float:
-        """``max_a Q_theta2(state, a)`` using the target beta snapshot."""
+        """``max_a Q_theta2(state, a)`` using the target beta snapshot (trusted ``state``)."""
         if self._target_beta is None:
             return 0.0
-        rows = np.stack([self.q_online.encode(state, a)
-                         for a in range(self.config.n_actions)])
-        hidden = self.model.hidden(rows)
-        return float(np.max(hidden @ self._target_beta))
+        hidden = self.model._hidden_rows(self.q_online._rows_for(state))
+        return float((hidden @ self._target_beta).max())
+
+    def _target(self, reward: float, done: bool, max_next: float) -> float:
+        """The clipped Q-learning target of one transition; NaN/Inf raise."""
+        config = self.config
+        target = q_learning_target(reward, done, max_next, gamma=config.gamma,
+                                   clip=config.clip_targets, clip_low=config.clip_low,
+                                   clip_high=config.clip_high)
+        return check_finite_scalar(target, name="Q-learning target")
 
     # ------------------------------------------------------------------ acting
     def act(self, state: np.ndarray, *, explore: bool = True) -> int:
+        state = self._checked_state(state)
         start = time.perf_counter()
-        q_values = self.q_online.q_values(state)
+        q_values = self.q_online._q_row(state)
         elapsed = time.perf_counter() - start
         label = "predict_seq" if self.initial_training_done else "predict_init"
         self._record(label, elapsed, count=self.config.n_actions)
-        return self.policy.select(q_values, explore=explore)
+        return self.policy._select(q_values, explore)
 
     def act_batch(self, states: np.ndarray, *, explore: bool = True) -> np.ndarray:
         """Epsilon-greedy actions for a batch of states in one forward pass.
@@ -221,19 +247,30 @@ class _ELMFamilyAgent(QLearningAgent):
     # ------------------------------------------------------------------ training helpers
     def _compute_targets(self, rewards: np.ndarray, dones: np.ndarray,
                          next_states: np.ndarray) -> np.ndarray:
-        """Clipped one-step targets for a batch, using the theta_2 bootstrap."""
+        """Clipped one-step targets for a batch, using the theta_2 bootstrap.
+
+        One pass over the buffer: every (next state, action) row goes through
+        one hidden-layer matmul, and the bootstrap is the *stacked*
+        ``(n, A, N) @ beta`` product, which evaluates each transition's
+        ``(A, N) @ beta`` exactly as :meth:`_target_max_q` does.  (A flat
+        ``(n * A, N) @ beta`` product changes the BLAS kernel and its
+        rounding, so the targets would drift from the serial ones.)
+        """
         start = time.perf_counter()
-        targets = np.empty(rewards.shape[0])
-        for i in range(rewards.shape[0]):
-            max_next = self._target_max_q(next_states[i])
-            targets[i] = q_learning_target(
-                rewards[i], bool(dones[i]), max_next,
-                gamma=self.config.gamma, clip=self.config.clip_targets,
-                clip_low=self.config.clip_low, clip_high=self.config.clip_high,
-            )
+        n, n_actions = rewards.shape[0], self.config.n_actions
+        if self._target_beta is None:
+            max_next = np.zeros(n)
+        else:
+            rows = self.q_online.encode_all_actions(next_states)
+            hidden = self.model._hidden_rows(rows.reshape(n * n_actions, -1))
+            boot = hidden.reshape(n, n_actions, -1) @ self._target_beta
+            max_next = boot[:, :, 0].max(axis=1)
+        config = self.config
+        targets = q_learning_targets(rewards, dones, max_next, gamma=config.gamma,
+                                     clip=config.clip_targets, clip_low=config.clip_low,
+                                     clip_high=config.clip_high)
         label = "predict_seq" if self.initial_training_done else "predict_init"
-        self._record(label, time.perf_counter() - start,
-                     count=rewards.shape[0] * self.config.n_actions)
+        self._record(label, time.perf_counter() - start, count=n * n_actions)
         return targets
 
     def _initial_training(self) -> None:
@@ -296,6 +333,8 @@ class ELMQAgent(_ELMFamilyAgent):
 
     def observe(self, state: np.ndarray, action: int, reward: float,
                 next_state: np.ndarray, done: bool) -> None:
+        state, action, reward, next_state = self._checked_transition(
+            state, action, reward, next_state)
         self.global_step += 1
         self.buffer.store(state, action, reward, next_state, done)
         if self.global_step >= self.config.n_hidden and self.buffer.full:
@@ -326,6 +365,8 @@ class OSELMQAgent(_ELMFamilyAgent):
 
     def observe(self, state: np.ndarray, action: int, reward: float,
                 next_state: np.ndarray, done: bool) -> None:
+        state, action, reward, next_state = self._checked_transition(
+            state, action, reward, next_state)
         self.global_step += 1
         if not self.initial_training_done:
             self.buffer.store(state, action, reward, next_state, done)
@@ -335,16 +376,10 @@ class OSELMQAgent(_ELMFamilyAgent):
         if not self.update_gate.should_update():
             return
         # Sequential update on the current transition (lines 20–22).
-        max_next = self._predict_target_bootstrap(next_state)
-        target = q_learning_target(
-            reward, done, max_next,
-            gamma=self.config.gamma, clip=self.config.clip_targets,
-            clip_low=self.config.clip_low, clip_high=self.config.clip_high,
-        )
+        target = self._target(reward, done, self._predict_target_bootstrap(next_state))
         start = time.perf_counter()
-        try:
-            self.q_online.update(state, action, target)
-        except np.linalg.LinAlgError:
+        rows = self.q_online._rows_for(state)
+        if not self.model._seq_train_row(rows[action:action + 1], target):
             # The inverse-Gram state P became indefinite (possible without the
             # L2 term when the initial Gram matrix is near-singular).  The real
             # device would keep running with a corrupted P; we skip the update

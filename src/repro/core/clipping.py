@@ -16,10 +16,19 @@ import numpy as np
 
 
 def clip_q_target(value: float, low: float = -1.0, high: float = 1.0) -> float:
-    """Clip a scalar target into ``[low, high]`` (the paper uses [-1, 1])."""
+    """Clip a scalar target into ``[low, high]`` (the paper uses [-1, 1]).
+
+    Pure Python with ``np.clip``'s exact semantics (signed zeros included;
+    NaN passes through), at a fraction of its per-call cost.
+    """
     if low > high:
         raise ValueError(f"low ({low}) must be <= high ({high})")
-    return float(np.clip(value, low, high))
+    value = float(value)
+    if not (value >= low or value != value):
+        value = low
+    if not (value <= high or value != value):
+        value = high
+    return float(value)
 
 
 def q_learning_target(reward: float, done: bool, max_next_q: float, *,
@@ -38,6 +47,21 @@ def q_learning_target(reward: float, done: bool, max_next_q: float, *,
     if clip:
         target = clip_q_target(target, clip_low, clip_high)
     return target
+
+
+def q_learning_targets(rewards: np.ndarray, dones: np.ndarray, max_next_q: np.ndarray, *,
+                       gamma: float = 0.99, clip: bool = True,
+                       clip_low: float = -1.0, clip_high: float = 1.0) -> np.ndarray:
+    """:func:`q_learning_target` over arrays, element-wise bit-identical to it."""
+    if not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+    not_done = np.where(np.asarray(dones, dtype=bool), 0.0, 1.0)
+    targets = np.asarray(rewards, dtype=float) + gamma * not_done * max_next_q
+    if clip:
+        if clip_low > clip_high:
+            raise ValueError(f"low ({clip_low}) must be <= high ({clip_high})")
+        targets = np.clip(targets, clip_low, clip_high)
+    return targets
 
 
 def shaped_cartpole_reward(terminated: bool, truncated: bool, step_in_episode: int,

@@ -68,7 +68,7 @@ class OSELM(ELM):
             raise ValueError(
                 f"x0 and t0 must have the same number of rows, got {x0.shape[0]} and {t0.shape[0]}"
             )
-        h0 = self.hidden(x0)
+        h0 = self._hidden_rows(x0)
         p0 = regularized_gram_inverse(h0, self.regularization.l2_delta)
         beta0 = ridge_solve(h0, t0, self.regularization.l2_delta, p=p0)
         self._recursive = RecursiveInverse(p0, beta0)
@@ -90,8 +90,7 @@ class OSELM(ELM):
             raise NotFittedError("OSELM.partial_fit called before init_train()")
         x = ensure_2d(x, name="x", n_features=self.n_inputs)
         t = ensure_2d(t, name="t", n_features=self.n_outputs)
-        h = self.hidden(x)
-        self._recursive.update(h, t)
+        self._recursive.update(self._hidden_rows(x), t)
         self.beta = self._recursive.beta
         return self
 
@@ -100,6 +99,19 @@ class OSELM(ELM):
         x_row = np.asarray(x_row, dtype=float).reshape(1, -1)
         t_row = np.asarray(target, dtype=float).reshape(1, -1)
         return self.partial_fit(x_row, t_row)
+
+    def _seq_train_row(self, x_row: np.ndarray, target) -> bool:
+        """Trusted batch-size-1 update (the agent's ``seq_train``).
+
+        ``x_row`` is a finite ``(1, n_inputs)`` block and ``target`` a finite
+        float (or ``(1, n_outputs)`` row) of an initialized model.  Returns
+        False when the Sherman-Morrison denominator is not positive and the
+        update was skipped; raises ``ValueError`` when it made ``P`` or
+        ``beta`` non-finite.
+        """
+        applied = self._recursive._rank1(self._hidden_rows(x_row), target)
+        self.beta = self._recursive.beta
+        return applied
 
     # ------------------------------------------------------------------ snapshots
     def clone_state(self) -> Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]:

@@ -54,11 +54,15 @@ class EpsilonGreedyPolicy:
             raise ValueError(
                 f"expected {self.n_actions} Q-values, got {q_values.shape[0]}"
             )
+        return self._select(q_values, explore)
+
+    def _select(self, q_values: np.ndarray, explore: bool) -> int:
+        """Trusted :meth:`select`: ``q_values`` is an array of ``n_actions`` floats."""
         if explore and self._rng.random() >= self.greedy_probability:
             self.random_selections += 1
             return int(self._rng.integers(self.n_actions))
         self.greedy_selections += 1
-        return int(np.argmax(q_values))
+        return int(q_values.argmax())
 
     def select_batch(self, q_values: np.ndarray, *, explore: bool = True) -> np.ndarray:
         """Choose one action per row of a ``(B, n_actions)`` Q-value matrix.

@@ -90,6 +90,10 @@ class QFunction:
         self.n_actions = int(n_actions)
         self.one_hot_actions = bool(one_hot_actions)
         self.default_value = float(default_value)
+        # Trusted-path buffers: one network input row per action, the action
+        # block filled once; the per-step kernels only rewrite the state slice.
+        self._rows = self.encode_all_actions(np.zeros(self.n_states))[0]
+        self._default_q = np.full((self.n_actions, 1), self.default_value)
 
     # ------------------------------------------------------------------ encoding
     @property
@@ -206,6 +210,23 @@ class QFunction:
         """
         q = self.q_values(state)
         return float(np.max(q)) if q.ndim == 1 else np.max(q, axis=1)
+
+    # ------------------------------------------------------------------ trusted kernels
+    def _rows_for(self, state: np.ndarray) -> np.ndarray:
+        """The ``(n_actions, input_size)`` row buffer, filled with ``state``.
+
+        Trusted: ``state`` is a finite ``(n_states,)`` float vector.  The
+        buffer is shared and overwritten by the next call.
+        """
+        rows = self._rows
+        rows[:, :self.n_states] = state
+        return rows
+
+    def _q_row(self, state: np.ndarray) -> np.ndarray:
+        """``(n_actions, 1)`` Q-values of one trusted state (the agent's ``act``)."""
+        if not self.is_trained:
+            return self._default_q
+        return self.model._predict_rows(self._rows_for(state))
 
     # ------------------------------------------------------------------ training passthroughs
     def fit_batch(self, states: np.ndarray, actions: Sequence[int],

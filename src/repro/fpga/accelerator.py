@@ -116,9 +116,15 @@ class FPGAAcceleratedOSELM(OSELM):
         if x.shape[0] != t.shape[0]:
             raise ValueError("x and t must have the same number of rows")
         for row in range(x.shape[0]):
-            self.core.seq_train(x[row], t[row])
-            self.modelled_time.add("seq_train", self.pl_latency.seq_train(self.n_hidden,
-                                                                          self.n_outputs).seconds)
+            self._seq_train_row(x[row:row + 1], t[row])
+        return self
+
+    # ------------------------------------------------------------------ trusted kernels
+    def _seq_train_row(self, x_row: np.ndarray, target) -> bool:
+        """One ``seq_train`` on the fixed-point core (it never skips an update)."""
+        self.core.seq_train(x_row[0], target)
+        self.modelled_time.add("seq_train", self.pl_latency.seq_train(self.n_hidden,
+                                                                      self.n_outputs).seconds)
         # Mirror the quantized state into the float attributes so diagnostics
         # (beta norm, Lipschitz bound, target-network snapshots) see the same
         # weights the hardware would produce.
@@ -126,26 +132,17 @@ class FPGAAcceleratedOSELM(OSELM):
         if self._recursive is not None:
             self._recursive.beta = self.beta.copy()
             self._recursive.p = self.core.p.to_float()
-        return self
+        return True
 
-    # ------------------------------------------------------------------ inference
-    def predict(self, x: np.ndarray) -> np.ndarray:
-        """Prediction on the fixed-point core, one row per core invocation.
-
-        Mirrors :meth:`repro.core.elm.ELM.predict`'s shape contract: 1-D in,
-        ``(n_outputs,)`` out; 2-D in, ``(B, n_outputs)`` out.
-        """
-        if not self.core.ready:
-            raise NotFittedError("FPGAAcceleratedOSELM.predict called before init_train()")
-        single = np.asarray(x).ndim == 1
-        x = ensure_2d(x, name="x", n_features=self.n_inputs)
+    def _predict_rows(self, x: np.ndarray) -> np.ndarray:
+        """Prediction on the fixed-point core, one row per core invocation."""
         outputs = np.empty((x.shape[0], self.n_outputs))
         predict_latency = self.pl_latency.predict(self.n_inputs, self.n_hidden,
                                                   self.n_outputs).seconds
         for row in range(x.shape[0]):
             outputs[row] = self.core.predict(x[row])[0]
             self.modelled_time.add("predict_seq", predict_latency)
-        return outputs[0] if single else outputs
+        return outputs
 
     # ------------------------------------------------------------------ diagnostics
     def quantization_report(self) -> dict:

@@ -13,15 +13,62 @@ SVD/QRD core.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import scipy.linalg
 
 from repro.telemetry.tracing import span
-from repro.utils.validation import ensure_2d
+from repro.utils.exceptions import ShapeError
+from repro.utils.validation import check_array, ensure_2d
 
 
+def _square(p: np.ndarray, name: str = "P") -> np.ndarray:
+    p = ensure_2d(p, name=name)
+    if p.shape[0] != p.shape[1]:
+        raise ShapeError(f"{name} must be square, got shape {p.shape}")
+    return p
+
+
+# ---------------------------------------------------------------------- trusted kernels
+# Array-in/array-out: inputs are finite float64 arrays of matching shapes.
+def _sherman_morrison(p: np.ndarray, h_row: np.ndarray) -> Tuple[Optional[np.ndarray], float]:
+    """``(P', denom)``; ``P'`` is ``None`` when ``denom = 1 + h P h^T <= 0``."""
+    ph = p @ h_row                      # (N,)
+    denom = 1.0 + float(h_row @ ph)     # scalar: 1 + h P h^T
+    if denom <= 0:
+        return None, denom
+    return p - np.outer(ph, ph) / denom, denom
+
+
+def _beta_update(beta: np.ndarray, p_new: np.ndarray, h_chunk: np.ndarray,
+                 t_chunk) -> np.ndarray:
+    residual = t_chunk - h_chunk @ beta
+    return beta + p_new @ (h_chunk.T @ residual)
+
+
+def rank1_update(p: np.ndarray, beta: np.ndarray, h_chunk: np.ndarray,
+                 t_chunk) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Trusted fused batch-size-1 update: Sherman-Morrison, then beta.
+
+    ``h_chunk`` is one hidden row of shape ``(1, N)`` and ``t_chunk`` its
+    target (a float, or a ``(1, m)`` row).  Evaluates exactly the numpy
+    expressions of :func:`sherman_morrison_update` followed by
+    :func:`beta_update`, so the result is bit-identical to that pair, but
+    skips their input validation.  Returns ``None`` (and changes nothing)
+    when the denominator ``1 + h P h^T`` is not positive; raises
+    ``ValueError`` when the new ``P`` or ``beta`` is not finite.
+    """
+    p_new, _ = _sherman_morrison(p, h_chunk[0])
+    if p_new is None:
+        return None
+    beta_new = _beta_update(beta, p_new, h_chunk, t_chunk)
+    if not (np.isfinite(p_new).all() and np.isfinite(beta_new).all()):
+        raise ValueError("rank-1 update produced NaN or Inf in P or beta")
+    return p_new, beta_new
+
+
+# ---------------------------------------------------------------------- public, validated
 def sherman_morrison_update(p: np.ndarray, h_row: np.ndarray) -> np.ndarray:
     """Rank-1 (batch-size-1) update of the inverse Gram matrix.
 
@@ -29,20 +76,19 @@ def sherman_morrison_update(p: np.ndarray, h_row: np.ndarray) -> np.ndarray:
     row vector.  This is the exact operation the paper's ``seq_train`` FPGA
     module performs: matrix-vector products plus one scalar reciprocal.
     """
-    p = ensure_2d(p, name="P")
-    h_row = np.asarray(h_row, dtype=float).reshape(-1)
+    p = _square(p)
+    h_row = check_array(h_row, name="h_row").reshape(-1)
     if h_row.shape[0] != p.shape[0]:
-        raise ValueError(
+        raise ShapeError(
             f"h_row length {h_row.shape[0]} does not match P dimension {p.shape[0]}"
         )
     with span("linalg.sherman_morrison"):
-        ph = p @ h_row                      # (N,)
-        denom = 1.0 + float(h_row @ ph)     # scalar: 1 + h P h^T
-        if denom <= 0:
+        p_new, denom = _sherman_morrison(p, h_row)
+        if p_new is None:
             raise np.linalg.LinAlgError(
                 f"Sherman-Morrison denominator is non-positive ({denom}); P is not positive definite"
             )
-        return p - np.outer(ph, ph) / denom
+        return p_new
 
 
 def woodbury_update(p: np.ndarray, h_chunk: np.ndarray) -> np.ndarray:
@@ -52,10 +98,10 @@ def woodbury_update(p: np.ndarray, h_chunk: np.ndarray) -> np.ndarray:
     shape ``(k, N)``.  The inner ``k x k`` system is solved with a Cholesky
     factorization (it is symmetric positive definite when P is).
     """
-    p = ensure_2d(p, name="P")
+    p = _square(p)
     h_chunk = ensure_2d(h_chunk, name="H")
     if h_chunk.shape[1] != p.shape[0]:
-        raise ValueError(
+        raise ShapeError(
             f"H has {h_chunk.shape[1]} columns but P is {p.shape[0]}x{p.shape[1]}"
         )
     k = h_chunk.shape[0]
@@ -76,11 +122,16 @@ def beta_update(beta: np.ndarray, p_new: np.ndarray, h_chunk: np.ndarray,
                 t_chunk: np.ndarray) -> np.ndarray:
     """Output-weight update ``beta' = beta + P' H^T (T - H beta)`` (Equation 5/6)."""
     beta = ensure_2d(beta, name="beta")
-    p_new = ensure_2d(p_new, name="P")
+    p_new = _square(p_new)
     h_chunk = ensure_2d(h_chunk, name="H")
     t_chunk = ensure_2d(t_chunk, name="T")
-    residual = t_chunk - h_chunk @ beta
-    return beta + p_new @ (h_chunk.T @ residual)
+    n_hidden = p_new.shape[0]
+    if beta.shape[0] != n_hidden or h_chunk.shape[1] != n_hidden:
+        raise ShapeError(f"beta {beta.shape} and H {h_chunk.shape} must match P {p_new.shape}")
+    if t_chunk.shape != (h_chunk.shape[0], beta.shape[1]):
+        raise ShapeError(f"T must have shape {(h_chunk.shape[0], beta.shape[1])}, "
+                         f"got {t_chunk.shape}")
+    return _beta_update(beta, p_new, h_chunk, t_chunk)
 
 
 class RecursiveInverse:
@@ -129,6 +180,19 @@ class RecursiveInverse:
         self.p = p_new
         self.updates += 1
         return self.p, self.beta
+
+    def _rank1(self, h_chunk: np.ndarray, t_chunk) -> bool:
+        """Trusted batch-size-1 update (see :func:`rank1_update`).
+
+        Returns False, leaving the state untouched, when the update is
+        skipped for a non-positive denominator.
+        """
+        updated = rank1_update(self.p, self.beta, h_chunk, t_chunk)
+        if updated is None:
+            return False
+        self.p, self.beta = updated
+        self.updates += 1
+        return True
 
     def copy(self) -> "RecursiveInverse":
         clone = RecursiveInverse(self.p, self.beta)

@@ -1,7 +1,45 @@
-"""Argument-validation helpers shared by the public API surface."""
+"""Argument-validation helpers shared by the public API surface.
+
+The numeric code validates once, at its public boundary, and runs trusted
+kernels behind it.
+
+**Entry points that check their inputs** (NaN/Inf and shapes):
+
+* models: ``ELM.fit`` / ``predict`` / ``hidden``, ``OSELM.init_train`` /
+  ``partial_fit`` / ``seq_train_step`` (and the FPGA overrides);
+* the public :class:`~repro.core.qfunction.QFunction` methods (through the
+  model entry points above);
+* linear algebra: ``sherman_morrison_update``, ``woodbury_update``,
+  ``beta_update`` and ``RecursiveInverse`` (construction and ``update``);
+* agents: construction (``AgentConfig``), and every ``act`` / ``observe``
+  input, checked once per call with :func:`check_finite_vector` (states),
+  :func:`check_finite_scalar` (rewards and the derived Q-learning target)
+  and a range test (actions).
+
+**Trusted kernels** are what the agent's per-step path calls below that
+boundary: ``ELM._hidden_rows`` / ``_predict_rows``,
+``OSELM._seq_train_row``, ``QFunction._rows_for`` / ``_q_row``,
+``EpsilonGreedyPolicy._select``, ``RecursiveInverse._rank1`` and
+``linalg.incremental.rank1_update``.  They assume float64 arrays of the
+right shape whose entries are finite, and do not re-check them.  What they
+still guarantee:
+
+* a rank-1 update whose ``P`` or ``beta`` comes out non-finite raises
+  ``ValueError`` on that update (one check of the output, so a NaN planted
+  in ``P`` cannot propagate silently);
+* a Sherman-Morrison denominator ``<= 0`` skips the update and reports it
+  to the caller, which counts it (``OSELMQAgent.skipped_updates``).
+
+The kernels evaluate the same numpy expressions as the public functions, in
+the same shapes, so the trusted path is bit-identical to the validated one.
+The batched lock-step strategy (:mod:`repro.training.strategies`) runs its
+own stacked kernels on the vector env's observations and does not re-check
+them either.
+"""
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -35,6 +73,31 @@ def ensure_2d(value: object, *, name: str = "array", n_features: Optional[int] =
             f"{name} must have {n_features} features, got {arr.shape[1]} (shape {arr.shape})"
         )
     return arr
+
+
+def check_finite_vector(value: object, size: int, *, name: str = "array") -> np.ndarray:
+    """Coerce ``value`` to a finite float64 vector of ``size`` elements.
+
+    The per-step check of an agent input: one coercion, one size test and
+    one sum.  A finite sum proves every element finite; only a non-finite
+    one (a NaN/Inf element, or an overflow) pays for the element-wise test.
+    """
+    arr = np.asarray(value, dtype=np.float64)
+    if arr.shape != (size,):
+        if arr.size != size:
+            raise ShapeError(f"{name} must have {size} elements, got shape {arr.shape}")
+        arr = arr.reshape(size)
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains NaN or Inf values")
+    return arr
+
+
+def check_finite_scalar(value: float, *, name: str = "value") -> float:
+    """Coerce ``value`` to a float and reject NaN/Inf."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} is NaN or Inf")
+    return value
 
 
 def check_positive(value: float, *, name: str = "value", strict: bool = True) -> float:

@@ -128,13 +128,13 @@ class TestOSELMQAgent:
                              update_probability=1.0)
         agent = OSELMQAgent(config)
         recorded = []
-        original = agent.q_online.update
+        original = agent.model._seq_train_row
 
-        def spy(state, action, target):
+        def spy(x_row, target):
             recorded.append(target)
-            return original(state, action, target)
+            return original(x_row, target)
 
-        agent.q_online.update = spy
+        agent.model._seq_train_row = spy
         _fill_buffer(agent, rng, steps=60)
         assert recorded
         assert all(-1.0 <= t <= 1.0 for t in recorded)

@@ -54,6 +54,48 @@ def _assert_same_trials(reference, sweep):
         assert result_a.breakdown.counts == result_b.breakdown.counts
 
 
+def _sweep_killing_first_deliverer(tasks, *, lease_batch):
+    """Sweep ``tasks`` on two local workers, SIGKILLing one mid-lease.
+
+    The broker's result callback runs in the delivering worker's connection
+    thread before the ACK goes out, so the worker that delivers the first
+    result is blocked waiting for that ACK and still holds the rest of its
+    lease.  The callback kills it there, which makes the requeue certain
+    rather than a race against polling.  Returns ``(broker, results,
+    victim_row)`` where ``victim_row`` is the victim's STATS row at the kill.
+    """
+    workers = []
+    killed = {}
+
+    def kill_deliverer(task, result):
+        if killed:
+            return
+        rows = broker.stats_snapshot()["workers"]
+        victim = next(worker_id for worker_id, row in rows.items()
+                      if row["completed"] == 1)
+        process = workers[int(victim.rsplit("-", 1)[1])]
+        process.kill()
+        process.join(timeout=10.0)
+        killed.update(rows[victim], alive=process.is_alive())
+
+    broker = SweepBroker(tasks, heartbeat_timeout=5.0, lease_batch=lease_batch,
+                         callback=kill_deliverer)
+    broker.start()
+    host, port = broker.address
+    workers.extend(spawn_local_workers(host, port, 2))
+    try:
+        assert broker.join(timeout=60.0), "sweep did not converge"
+        results = broker.results()
+    finally:
+        broker.close()
+        for worker in workers:
+            worker.join(timeout=5.0)
+            if worker.is_alive():
+                worker.kill()
+    assert killed and not killed["alive"], "no worker was killed"
+    return broker, results, killed
+
+
 class TestDistributedBackend:
     def test_replays_serial_bit_for_bit(self):
         spec = _tiny_sweep()
@@ -73,66 +115,29 @@ class TestDistributedBackend:
         _assert_same_trials(serial, distributed)
 
     def test_worker_killed_mid_sweep_still_converges(self):
-        """Terminating a worker mid-run must cost wall time, not results."""
-        spec = _tiny_sweep(n_seeds=4, max_episodes=40)
-        tasks = spec.tasks()
+        """SIGKILL of a worker holding a lease costs wall time, not results."""
+        tasks = _tiny_sweep(n_seeds=4, max_episodes=40).tasks()
         serial = [_run_sweep_task(task) for task in tasks]
-
-        broker = SweepBroker(tasks, heartbeat_timeout=5.0)
-        broker.start()
-        host, port = broker.address
-        workers = spawn_local_workers(host, port, 2)
-        try:
-            deadline = time.monotonic() + 30.0
-            while (broker.active_connections < 2
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)          # let the fleet connect + lease tasks
-            time.sleep(0.05)
-            workers[0].terminate()        # SIGTERM: connection drops mid-trial
-            assert broker.join(timeout=60.0), "sweep did not converge"
-            results = broker.results()
-        finally:
-            broker.close()
-            for worker in workers:
-                worker.join(timeout=5.0)
-                if worker.is_alive():
-                    worker.kill()
+        broker, results, killed = _sweep_killing_first_deliverer(tasks, lease_batch=2)
+        assert killed["leases"] == 1          # the rest of its share, undelivered
+        assert broker.requeued_tasks > 0
         for serial_result, (dist_result, backend_used) in zip(serial, results):
             assert backend_used == "distributed"
-            np.testing.assert_array_equal(serial_result.curve.steps,
-                                          dist_result.curve.steps)
+            assert _curve_hex(serial_result) == _curve_hex(dist_result)
 
     def test_worker_killed_mid_lease_requeues_its_whole_share(self):
-        """SIGKILL mid-lease: the share goes back whole and still converges."""
-        spec = SweepSpec(designs=("OS-ELM",), n_seeds=4, n_hidden=16,
+        """SIGKILL mid-lease: every undelivered task of the share goes back.
+
+        The victim trained its three tasks lock-step and delivered one; the
+        two results it computed but never delivered are requeued together.
+        """
+        spec = SweepSpec(designs=("OS-ELM",), n_seeds=6, n_hidden=16,
                          training=TrainingConfig(max_episodes=150),
                          root_seed=321)
         tasks = spec.tasks()
         serial = [_run_sweep_task(task) for task in tasks]
-
-        broker = SweepBroker(tasks, heartbeat_timeout=5.0, lease_batch=2)
-        broker.start()
-        host, port = broker.address
-        workers = spawn_local_workers(host, port, 2)
-        try:
-            victim = None
-            deadline = time.monotonic() + 30.0
-            while victim is None and time.monotonic() < deadline:
-                rows = broker.stats_snapshot()["workers"]
-                victim = next((int(worker_id.rsplit("-", 1)[1])
-                               for worker_id, row in rows.items()
-                               if row["leases"] == 2), None)
-                time.sleep(0.001)
-            assert victim is not None, "no worker ever held a full share"
-            workers[victim].kill()        # SIGKILL: no drain, no delivery
-            assert broker.join(timeout=60.0), "sweep did not converge"
-            results = broker.results()
-        finally:
-            broker.close()
-            for worker in workers:
-                worker.join(timeout=5.0)
-                if worker.is_alive():
-                    worker.kill()
+        broker, results, killed = _sweep_killing_first_deliverer(tasks, lease_batch=3)
+        assert killed["leases"] == 2
         assert broker.requeued_tasks == 2
         for serial_result, (dist_result, backend_used) in zip(serial, results):
             assert backend_used == "distributed"
